@@ -8,11 +8,13 @@ use crate::trace::Tracer;
 use ocas::experiments::{self, Experiment};
 use ocas::Synthesis;
 use ocas_cost::CostEngine;
-use ocas_engine::{lower::LowerCtx, CpuModel, Executor, Mode, RelSpec, Relation};
+use ocas_engine::{lower::LowerCtx, CpuModel, Executor, Mode, Output, RelSpec, Relation};
+use ocas_hierarchy::{EdgeCosts, Hierarchy};
 use ocas_opt::{ladder_search, optimize, ParamSpec, Problem};
 use ocas_runtime::{FileBackend, PoolConfig, RealReport};
 use ocas_storage::StorageSim;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The plan families the spec→answer workloads draw from.
@@ -159,6 +161,7 @@ pub fn synthesize(e: &mut Experiment, text: &str) -> Result<Synthesis, String> {
 pub fn answer(q: &Query, text: &str) -> Result<(RealReport, f64), String> {
     let mut e = q.template.experiment();
     let synth = synthesize(&mut e, text)?;
+    prepare_real_run(&mut e);
     let setup = e.real_setup(q.rel_specs(), q.seed);
     let t = Instant::now();
     let report = synth.run_real(&setup).map_err(|err| err.to_string())?;
@@ -333,6 +336,80 @@ impl Layers {
     }
 }
 
+/// Device capacity of a real run that writes its answer to a device:
+/// the simulated twin reserves a 1 GiB sink extent for the answer, on
+/// top of the inputs and spills.
+const TO_DEVICE_CAP: u64 = 2 << 30;
+
+/// Device capacity of a real run that discards its answer: the inputs,
+/// spills and in-memory answers of every query fit in it.
+pub const DISCARD_CAP: u64 = 256 << 20;
+
+/// The soft file-size limit of the process (`RLIMIT_FSIZE`, from
+/// `/proc/self/limits`), or `None` when unlimited or unknown.
+pub fn file_size_limit() -> Option<u64> {
+    static LIMIT: OnceLock<Option<u64>> = OnceLock::new();
+    *LIMIT.get_or_init(|| {
+        let limits = std::fs::read_to_string("/proc/self/limits").ok()?;
+        let line = limits.lines().find(|l| l.starts_with("Max file size"))?;
+        line["Max file size".len()..]
+            .split_whitespace()
+            .next()?
+            .parse()
+            .ok()
+    })
+}
+
+/// How real runs fit the file-size limit: the device capacity, and
+/// whether answers are discarded (collected in memory and checked, but
+/// not written to a device) because `TO_DEVICE_CAP` is over the limit.
+pub fn real_run_target() -> (u64, bool) {
+    match file_size_limit() {
+        Some(limit) if limit < TO_DEVICE_CAP => (limit.min(DISCARD_CAP), true),
+        _ => (TO_DEVICE_CAP, false),
+    }
+}
+
+/// Readies a synthesized experiment for real runs. The real backend backs
+/// each device with a sparse file of the device's full size (1 TiB for
+/// the HDD), and growing a file past the file-size limit kills the
+/// process with `SIGXFSZ`; so every device shrinks to the capacity of
+/// `real_run_target`, which also decides where the answer goes.
+/// Synthesis has already run on the paper's hierarchy.
+pub fn prepare_real_run(e: &mut Experiment) {
+    let (cap, discard) = real_run_target();
+    apply_real_target(e, cap, discard);
+}
+
+/// Shrinks every device of `e` to at most `cap` bytes and, with
+/// `discard`, makes the answer stay in memory instead of on a device.
+pub fn apply_real_target(e: &mut Experiment, cap: u64, discard: bool) {
+    e.hierarchy = bounded(&e.hierarchy, cap);
+    if discard {
+        e.output = Output::Discard;
+    }
+}
+
+/// `h` with every device at most `cap` bytes.
+fn bounded(h: &Hierarchy, cap: u64) -> Hierarchy {
+    let props = |id| {
+        let mut p = h.node(id).clone();
+        p.size = p.size.min(cap);
+        p
+    };
+    let mut out = Hierarchy::new(props(h.root())).expect("a shrunk root stays valid");
+    for id in h.ids().filter(|&id| id != h.root()) {
+        let parent = h.parent(id).expect("a non-root node has a parent");
+        let costs = EdgeCosts {
+            up: h.edge(id, parent).expect("child-to-parent edge"),
+            down: h.edge(parent, id).expect("parent-to-child edge"),
+        };
+        out.add_child(&h.node(parent).name, props(id), costs)
+            .expect("a shrunk node stays valid");
+    }
+    out
+}
+
 /// Bytes of the hierarchy's RAM device.
 pub fn ram_bytes(e: &Experiment) -> u64 {
     e.hierarchy
@@ -489,6 +566,7 @@ pub fn answer_traced(
     let start = tr.now();
     let mut e = q.template.experiment();
     let synth = synthesize_traced(&mut e, Some(text), tr, qid, l)?;
+    prepare_real_run(&mut e);
     let specs = q.rel_specs();
     l.input_rows += q.input_rows() as f64;
     l.input_bytes += q.input_bytes() as f64;

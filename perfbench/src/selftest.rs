@@ -1,7 +1,9 @@
 //! Self-tests of the benchmark: metric names, per-workload coverage of
-//! the metric tables at smoke size, and that a wrong answer is counted.
+//! the metric tables at smoke size, that a wrong answer is counted, and
+//! that real runs fit a small file-size limit.
 
 use crate::metrics::{self, END_TO_END, PER_LAYER};
+use crate::queries::{self, Query, Template};
 use crate::workloads::{self, Config, Workload};
 
 /// True for names made of letters, digits, `_`, `.` and `-`, starting
@@ -121,5 +123,42 @@ fn corrupted_answers_raise_the_error_rate() {
             "{}",
             w.name()
         );
+    }
+}
+
+/// The set-up a process under a file-size limit below 2 GiB gets: every
+/// device file at most `DISCARD_CAP`, answers discarded. Each template
+/// must still answer correctly, and the hierarchy must keep its shape.
+#[test]
+fn real_runs_fit_a_small_file_size_limit() {
+    for t in Template::ALL {
+        let q = Query {
+            template: t,
+            cards: t.even_cards(2_000),
+            seed: 5,
+        };
+        let mut e = t.experiment();
+        let paper = e.hierarchy.clone();
+        let text = queries::spec_text(&e).unwrap();
+        let synth = queries::synthesize(&mut e, &text).unwrap();
+        queries::apply_real_target(&mut e, queries::DISCARD_CAP, true);
+        assert_eq!(e.hierarchy.len(), paper.len());
+        for id in paper.ids() {
+            let (p, b) = (paper.node(id), e.hierarchy.node(id));
+            assert_eq!(
+                (&b.name, b.size),
+                (&p.name, p.size.min(queries::DISCARD_CAP))
+            );
+            if let Some(parent) = paper.parent(id) {
+                assert_eq!(e.hierarchy.parent(id), Some(parent));
+                assert_eq!(e.hierarchy.edge(id, parent), paper.edge(id, parent));
+                assert_eq!(e.hierarchy.edge(parent, id), paper.edge(parent, id));
+            }
+        }
+        let report = synth
+            .run_real(&e.real_setup(q.rel_specs(), q.seed))
+            .unwrap_or_else(|err| panic!("{}: {err}", t.name()));
+        queries::check_answer(&report, &q.expect())
+            .unwrap_or_else(|err| panic!("{}: {err}", t.name()));
     }
 }

@@ -65,8 +65,10 @@ pub struct Outcome {
     pub tracer: Option<Tracer>,
 }
 
-/// Set-up is repeated this many times; `setup_s` is the median.
+/// Set-up is repeated at least `SETUP_REPS` times and for at least
+/// `SETUP_MIN_S` seconds; `setup_s` is the median.
 const SETUP_REPS: usize = 5;
+const SETUP_MIN_S: f64 = 3.0;
 
 /// splitmix64: query order and data seeds derive from the workload seed.
 pub struct Rng(u64);
@@ -99,9 +101,19 @@ pub struct Tally {
     pub errors: Vec<String>,
     /// Latency samples per distinct operation.
     pub ops: BTreeMap<String, Vec<f64>>,
+    /// Largest operation peak RSS (MiB) of the current pass.
+    pub pass_peak_rss: f64,
 }
 
 impl Tally {
+    /// Records an operation's peak RSS, measured from a
+    /// `metrics::reset_peak_rss` just before it: each operation's peak
+    /// starts from a trimmed heap, so the pass peak does not depend on
+    /// which operations ran before it.
+    fn note_peak_rss(&mut self, peak: f64) {
+        self.pass_peak_rss = self.pass_peak_rss.max(peak);
+    }
+
     fn outcome(&mut self, what: &str, r: Result<(), String>) {
         self.attempted += 1;
         if let Err(e) = r {
@@ -244,9 +256,11 @@ impl Bench for SynthTable1 {
         rng.shuffle(&mut order);
         let mut wall = 0.0;
         for i in order {
+            metrics::reset_peak_rss();
             let t = Instant::now();
             let s = self.exps[i].synthesize().map_err(|e| e.to_string());
             let dt = t.elapsed().as_secs_f64();
+            tally.note_peak_rss(metrics::peak_rss_mib());
             wall += dt;
             tally
                 .ops
@@ -335,9 +349,11 @@ impl Answers {
         let (mut wall, mut run_real) = (0.0, 0.0);
         self.input_rows_per_pass = qs.iter().map(Query::input_rows).sum();
         for q in qs {
+            metrics::reset_peak_rss();
             let t = Instant::now();
             let r = queries::answer(&q, &self.texts[&q.template]);
             let dt = t.elapsed().as_secs_f64();
+            tally.note_peak_rss(metrics::peak_rss_mib());
             wall += dt;
             tally.ops.entry(key(&q)).or_default().push(dt);
             if let Ok((_, run_real_s)) = &r {
@@ -642,14 +658,17 @@ impl Bench for PaperAct {
         for i in order {
             let name = self.exps[i].name.clone();
             let start = Instant::now();
-            let mut times = Vec::new();
+            let (mut times, mut peaks) = (Vec::new(), Vec::new());
             while times.is_empty() || start.elapsed().as_secs_f64() < MIN_ROW_SAMPLE_S {
+                metrics::reset_peak_rss();
                 let t = Instant::now();
                 let act = self.exps[i].execute(&self.synths[i]);
                 times.push(t.elapsed().as_secs_f64());
+                peaks.push(metrics::peak_rss_mib());
                 let r = self.check(i, act.map_err(|e| e.to_string()));
                 tally.outcome(&name, r);
             }
+            tally.note_peak_rss(median(&peaks));
             let dt = median(&times);
             wall += dt;
             tally.ops.entry(name).or_default().push(dt);
@@ -686,9 +705,10 @@ fn setup(cfg: &Config) -> Result<Box<dyn Bench>, String> {
 /// Runs one workload: set-up (repeated), then passes until the next one
 /// would overrun `cfg.seconds` (at least one), then the end-of-run checks.
 pub fn run(cfg: &Config) -> Result<Outcome, String> {
+    metrics::fix_mmap_threshold();
     let mut setup_s = Vec::new();
     let mut bench = None;
-    for _ in 0..SETUP_REPS {
+    while setup_s.len() < SETUP_REPS || setup_s.iter().sum::<f64>() < SETUP_MIN_S {
         let t = Instant::now();
         bench = Some(setup(cfg)?);
         setup_s.push(t.elapsed().as_secs_f64());
@@ -700,6 +720,17 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
         cfg.seed
     )];
     lines.extend(bench.describe());
+    let (cap, discard) = queries::real_run_target();
+    lines.push(format!(
+        "real runs: devices capped at {} MiB (file-size limit {}), answers {}",
+        cap >> 20,
+        queries::file_size_limit().map_or("none".into(), |l| format!("{} MiB", l >> 20)),
+        if discard {
+            "discarded"
+        } else {
+            "written to a device"
+        }
+    ));
 
     let mut rng = Rng::new(cfg.seed);
     let mut tally = Tally::default();
@@ -711,9 +742,9 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
     let mut last = 0.0;
     while walls.is_empty() || start.elapsed().as_secs_f64() + last <= cfg.seconds {
         let round = Instant::now();
-        metrics::reset_peak_rss();
+        tally.pass_peak_rss = 0.0;
         walls.push(bench.pass(&mut rng, &mut tally));
-        rss.push(metrics::peak_rss_mib());
+        rss.push(tally.pass_peak_rss);
         if cfg.trace {
             traced.push(bench.traced_pass(&mut rng, &mut tally, &mut tracer));
         }
