@@ -11,87 +11,100 @@
 //! [`FileBackend`]'s buffer pools onto actual temp files, and every
 //! tuple-holding buffer is metered: [`AlgoRun::peak_resident_bytes`] is the
 //! high-water mark of resident tuple memory, which stays bounded by the
-//! configured buffers regardless of input cardinality.
+//! configured buffers regardless of input cardinality. [`run`] maps a plan
+//! to its algorithm.
 
 use crate::backend::FileBackend;
-use ocas_engine::{MergeKind, Output, Relation, RowBuf};
+use ocas_engine::{ExecError, JoinPred, MergeKind, Output, Plan, Relation, RowBuf};
 use ocas_storage::{FileId, StorageBackend, StorageError};
 use std::collections::BTreeMap;
 
-/// Algorithm failures.
-#[derive(Debug)]
-pub enum AlgoError {
-    /// Storage-level failure.
-    Storage(StorageError),
-    /// The relation layout is outside what the real path supports.
-    Unsupported(&'static str),
-}
-
-impl std::fmt::Display for AlgoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AlgoError::Storage(e) => write!(f, "storage error: {e}"),
-            AlgoError::Unsupported(what) => write!(f, "unsupported by real backend: {what}"),
+/// Runs `plan` with its native out-of-core algorithm over `rels` (plan
+/// relation indices refer to that slice). Plans without one — the
+/// nested-loop joins and aggregation, which stream through the generic
+/// executor — return `Ok(None)`.
+///
+/// On failure the backend is left clean: every pin is released and every
+/// device is truncated to its allocation watermark at entry, so a failed
+/// run leaves no spill extents or pinned frames behind. On success the
+/// outputs stay behind, to be harvested after the measured window.
+pub fn run(
+    fb: &mut FileBackend,
+    rels: &[Relation],
+    plan: &Plan,
+) -> Result<Option<AlgoRun>, ExecError> {
+    // A bad relation index fails here, before anything is allocated.
+    let rel = |i: usize| rels.get(i).ok_or(ExecError::BadRelation(i));
+    let marks = fb.watermarks();
+    let result = match plan {
+        Plan::ExternalSort {
+            input,
+            fan_in,
+            b_in,
+            b_out,
+            scratch,
+            output,
+        } => external_sort(fb, rel(*input)?, *fan_in, *b_in, *b_out, scratch, output),
+        Plan::GraceJoin {
+            left,
+            right,
+            partitions,
+            buffer_bytes,
+            spill,
+            pred,
+            output,
+        } => grace_join(
+            fb,
+            rel(*left)?,
+            rel(*right)?,
+            *partitions,
+            *buffer_bytes,
+            spill,
+            matches!(pred, JoinPred::Cross),
+            output,
+        ),
+        Plan::MergePass {
+            left,
+            right,
+            kind,
+            b_in,
+            output,
+        } => merge_pass(fb, rel(*left)?, rel(*right)?, *kind, *b_in, output),
+        Plan::ColumnZip {
+            columns,
+            b_in,
+            output,
+        } => {
+            let cols = columns
+                .iter()
+                .map(|c| rel(*c))
+                .collect::<Result<Vec<_>, _>>()?;
+            column_zip(fb, &cols, *b_in, output)
+        }
+        Plan::DedupSorted {
+            input,
+            b_in,
+            output,
+        } => dedup_sorted(fb, rel(*input)?, *b_in, output),
+        Plan::BnlJoin { .. } | Plan::NaiveJoin { .. } | Plan::Aggregate { .. } => return Ok(None),
+    };
+    match result {
+        Ok(run) => Ok(Some(run)),
+        Err(e) => {
+            fb.rollback(&marks);
+            Err(e)
         }
     }
 }
 
-impl std::error::Error for AlgoError {}
-
-impl From<StorageError> for AlgoError {
-    fn from(e: StorageError) -> AlgoError {
-        AlgoError::Storage(e)
-    }
-}
-
-fn check_width(rel: &Relation) -> Result<usize, AlgoError> {
+fn check_width(rel: &Relation) -> Result<usize, ExecError> {
     let w = rel.width as usize;
     if w == 0 || rel.tuple_bytes != w as u64 * 8 {
-        return Err(AlgoError::Unsupported(
+        return Err(ExecError::BadParameter(
             "real algorithms need 8-byte columns",
         ));
     }
     Ok(w)
-}
-
-/// Scope guard over the devices an algorithm allocates on: snapshots their
-/// allocation watermarks at entry so the error path can roll everything
-/// back. The public algorithm entry points call [`SpillGuard::cleanup`] on
-/// every failure — pinned pages are released and each device is truncated
-/// to its entry mark, so a failed run leaves no spill extents or pinned
-/// frames behind. The success path simply drops the guard: outputs are
-/// harvested after the measured window and must survive.
-struct SpillGuard {
-    marks: Vec<(String, u64)>,
-}
-
-impl SpillGuard {
-    fn new(fb: &FileBackend, scratch: Option<&str>, output: &Output) -> SpillGuard {
-        let mut devices: Vec<&str> = Vec::new();
-        if let Some(s) = scratch {
-            devices.push(s);
-        }
-        if let Some(f) = fb.spill_fallback() {
-            devices.push(f);
-        }
-        if let Output::ToDevice { device, .. } = output {
-            devices.push(device);
-        }
-        let mut marks: Vec<(String, u64)> = Vec::new();
-        for d in devices {
-            if !marks.iter().any(|(name, _)| name == d) {
-                marks.push((d.to_string(), fb.watermark(d).unwrap_or(0)));
-            }
-        }
-        SpillGuard { marks }
-    }
-
-    fn cleanup(self, fb: &mut FileBackend) {
-        fb.release_all_pins();
-        for (device, mark) in &self.marks {
-            let _ = fb.truncate_device(device, *mark);
-        }
-    }
 }
 
 /// Spill allocation that degrades gracefully on capacity exhaustion
@@ -119,7 +132,7 @@ impl SpillAlloc {
     /// Switches to the alternate spill device, or gives up with the
     /// original capacity error when there is none (or it is already in
     /// use).
-    fn fail_over(&mut self, fb: &mut FileBackend, e: StorageError) -> Result<(), AlgoError> {
+    fn fail_over(&mut self, fb: &mut FileBackend, e: StorageError) -> Result<(), ExecError> {
         match &self.fallback {
             Some(to) if !self.failed_over && *to != self.device => {
                 fb.note_degradation(&self.device, "failover");
@@ -133,7 +146,7 @@ impl SpillAlloc {
 
     /// Allocates one contiguous extent (merged runs must stay contiguous,
     /// so shrinking is not an option — only failover).
-    fn alloc(&mut self, fb: &mut FileBackend, len: u64) -> Result<FileId, AlgoError> {
+    fn alloc(&mut self, fb: &mut FileBackend, len: u64) -> Result<FileId, ExecError> {
         loop {
             match fb.alloc(&self.device, len) {
                 Ok(f) => return Ok(f),
@@ -154,7 +167,7 @@ impl SpillAlloc {
         fb: &mut FileBackend,
         bytes: &[u8],
         tb: u64,
-    ) -> Result<Vec<(FileId, u64)>, AlgoError> {
+    ) -> Result<Vec<(FileId, u64)>, ExecError> {
         let rows = bytes.len() as u64 / tb;
         let mut out = Vec::new();
         let mut start = 0u64;
@@ -266,22 +279,12 @@ impl RealSink {
         }
     }
 
-    fn emit(&mut self, fb: &mut FileBackend, row: &[i64]) -> Result<(), AlgoError> {
-        self.rows += 1;
-        if let Output::ToDevice { .. } = self.output {
-            self.encode_row(row);
-            if self.buffer.len() >= self.cap {
-                self.flush(fb)?;
-            }
-        }
-        if self.collect {
-            self.collected.push(row);
-        }
-        Ok(())
+    fn emit(&mut self, fb: &mut FileBackend, row: &[i64]) -> Result<(), ExecError> {
+        self.emit_concat(fb, row, &[])
     }
 
     /// Emits the join row `a ++ b` without materializing it first.
-    fn emit_concat(&mut self, fb: &mut FileBackend, a: &[i64], b: &[i64]) -> Result<(), AlgoError> {
+    fn emit_concat(&mut self, fb: &mut FileBackend, a: &[i64], b: &[i64]) -> Result<(), ExecError> {
         self.rows += 1;
         if let Output::ToDevice { .. } = self.output {
             self.encode_row(a);
@@ -296,7 +299,7 @@ impl RealSink {
         Ok(())
     }
 
-    fn flush(&mut self, fb: &mut FileBackend) -> Result<(), AlgoError> {
+    fn flush(&mut self, fb: &mut FileBackend) -> Result<(), ExecError> {
         if self.buffer.is_empty() {
             return Ok(());
         }
@@ -309,7 +312,7 @@ impl RealSink {
         Ok(())
     }
 
-    fn finish(mut self, fb: &mut FileBackend, gauge: MemGauge) -> Result<AlgoRun, AlgoError> {
+    fn finish(mut self, fb: &mut FileBackend, gauge: MemGauge) -> Result<AlgoRun, ExecError> {
         self.flush(fb)?;
         Ok(AlgoRun {
             output: self.collected,
@@ -363,7 +366,7 @@ impl RunReader {
     }
 
     /// Refills the buffer if it is exhausted and tuples remain on disk.
-    fn ensure(&mut self, fb: &mut FileBackend) -> Result<(), AlgoError> {
+    fn ensure(&mut self, fb: &mut FileBackend) -> Result<(), ExecError> {
         if self.pos >= self.buf.len() && self.next < self.card {
             let take = self.b_in.min(self.card - self.next);
             self.buf.clear();
@@ -394,7 +397,7 @@ impl RunReader {
 /// buffers and a `b_out`-tuple output buffer, finally streaming the sorted
 /// result to `output`.
 #[allow(clippy::too_many_arguments)]
-pub fn external_sort(
+fn external_sort(
     fb: &mut FileBackend,
     input: &Relation,
     fan_in: u64,
@@ -402,27 +405,7 @@ pub fn external_sort(
     b_out: u64,
     scratch: &str,
     output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let guard = SpillGuard::new(fb, Some(scratch), output);
-    match sort_inner(fb, input, fan_in, b_in, b_out, scratch, output) {
-        Ok(run) => Ok(run),
-        Err(e) => {
-            guard.cleanup(fb);
-            Err(e)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sort_inner(
-    fb: &mut FileBackend,
-    input: &Relation,
-    fan_in: u64,
-    b_in: u64,
-    b_out: u64,
-    scratch: &str,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
+) -> Result<AlgoRun, ExecError> {
     let width = check_width(input)?;
     let tb = input.tuple_bytes;
     let fan_in = fan_in.max(2);
@@ -574,7 +557,7 @@ fn partition_side(
     buffer_bytes: u64,
     spill: &mut SpillAlloc,
     gauge: &mut MemGauge,
-) -> Result<Partitions, AlgoError> {
+) -> Result<Partitions, ExecError> {
     let width = check_width(rel)?;
     let tb = rel.tuple_bytes;
     let block = (buffer_bytes / tb).max(1);
@@ -618,7 +601,7 @@ fn read_bucket(
     extents: &[(FileId, u64)],
     width: usize,
     out: &mut RowBuf,
-) -> Result<(), AlgoError> {
+) -> Result<(), ExecError> {
     out.clear();
     for (file, bytes) in extents {
         let rows = *bytes / (width as u64 * 8);
@@ -633,7 +616,7 @@ fn read_bucket(
 /// probe with the right), results flowing through a buffered writer to
 /// `output`.
 #[allow(clippy::too_many_arguments)]
-pub fn grace_join(
+fn grace_join(
     fb: &mut FileBackend,
     left: &Relation,
     right: &Relation,
@@ -642,37 +625,7 @@ pub fn grace_join(
     spill: &str,
     cross: bool,
     output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let guard = SpillGuard::new(fb, Some(spill), output);
-    match grace_inner(
-        fb,
-        left,
-        right,
-        partitions,
-        buffer_bytes,
-        spill,
-        cross,
-        output,
-    ) {
-        Ok(run) => Ok(run),
-        Err(e) => {
-            guard.cleanup(fb);
-            Err(e)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn grace_inner(
-    fb: &mut FileBackend,
-    left: &Relation,
-    right: &Relation,
-    partitions: u64,
-    buffer_bytes: u64,
-    spill: &str,
-    cross: bool,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
+) -> Result<AlgoRun, ExecError> {
     let lw = check_width(left)?;
     let rw = check_width(right)?;
     let partitions = partitions.max(1);
@@ -717,36 +670,18 @@ fn grace_inner(
 /// `b_in`-tuple cursors advance through the inputs, the [`MergeKind`]
 /// logic emits incrementally — resident memory is two input buffers plus
 /// the output staging buffer, independent of input cardinality.
-pub fn merge_pass(
+fn merge_pass(
     fb: &mut FileBackend,
     left: &Relation,
     right: &Relation,
     kind: MergeKind,
     b_in: u64,
     output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let guard = SpillGuard::new(fb, None, output);
-    match merge_inner(fb, left, right, kind, b_in, output) {
-        Ok(run) => Ok(run),
-        Err(e) => {
-            guard.cleanup(fb);
-            Err(e)
-        }
-    }
-}
-
-fn merge_inner(
-    fb: &mut FileBackend,
-    left: &Relation,
-    right: &Relation,
-    kind: MergeKind,
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
+) -> Result<AlgoRun, ExecError> {
     let lw = check_width(left)?;
     let rw = check_width(right)?;
     if lw != rw {
-        return Err(AlgoError::Unsupported("merge inputs must share a width"));
+        return Err(ExecError::BadParameter("merge inputs must share a width"));
     }
     let mut gauge = MemGauge::default();
     let mut a = RunReader::over(left, lw, b_in.max(1));
@@ -843,32 +778,19 @@ fn merge_inner(
 /// Runs a real column-store read: one bounded cursor per column advances in
 /// lock-step, zipping rows through a reused scratch tuple — resident
 /// memory is `columns.len()` input buffers plus the output staging buffer.
-pub fn column_zip(
+fn column_zip(
     fb: &mut FileBackend,
-    columns: &[Relation],
+    columns: &[&Relation],
     b_in: u64,
     output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let guard = SpillGuard::new(fb, None, output);
-    match zip_inner(fb, columns, b_in, output) {
-        Ok(run) => Ok(run),
-        Err(e) => {
-            guard.cleanup(fb);
-            Err(e)
-        }
-    }
-}
-
-fn zip_inner(
-    fb: &mut FileBackend,
-    columns: &[Relation],
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
+) -> Result<AlgoRun, ExecError> {
     if columns.is_empty() {
-        return Err(AlgoError::Unsupported("column zip needs columns"));
+        return Err(ExecError::BadParameter("column zip needs columns"));
     }
-    let widths: Vec<usize> = columns.iter().map(check_width).collect::<Result<_, _>>()?;
+    let widths: Vec<usize> = columns
+        .iter()
+        .map(|c| check_width(c))
+        .collect::<Result<_, _>>()?;
     let out_width: usize = widths.iter().sum();
     let card = columns.iter().map(|c| c.card).min().unwrap_or(0);
     let out_bytes: u64 = columns.iter().map(|c| c.tuple_bytes).sum();
@@ -902,28 +824,12 @@ fn zip_inner(
 /// Runs a real streaming duplicate removal over a sorted relation: one
 /// bounded cursor, one remembered row — resident memory is a single input
 /// buffer plus the output staging buffer.
-pub fn dedup_sorted(
+fn dedup_sorted(
     fb: &mut FileBackend,
     input: &Relation,
     b_in: u64,
     output: &Output,
-) -> Result<AlgoRun, AlgoError> {
-    let guard = SpillGuard::new(fb, None, output);
-    match dedup_inner(fb, input, b_in, output) {
-        Ok(run) => Ok(run),
-        Err(e) => {
-            guard.cleanup(fb);
-            Err(e)
-        }
-    }
-}
-
-fn dedup_inner(
-    fb: &mut FileBackend,
-    input: &Relation,
-    b_in: u64,
-    output: &Output,
-) -> Result<AlgoRun, AlgoError> {
+) -> Result<AlgoRun, ExecError> {
     let width = check_width(input)?;
     let mut gauge = MemGauge::default();
     let mut reader = RunReader::over(input, width, b_in.max(1));
@@ -943,4 +849,105 @@ fn dedup_inner(
         gauge.note(reader.resident_bytes() + sink.resident_bytes());
     }
     sink.finish(fb, gauge)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PoolConfig;
+    use ocas_engine::RelSpec;
+    use ocas_hierarchy::presets;
+
+    fn backend_with(specs: &[RelSpec]) -> (FileBackend, Vec<Relation>) {
+        let h = presets::hdd_ram(1 << 22);
+        let mut fb = FileBackend::from_hierarchy(&h, PoolConfig::default()).unwrap();
+        let rels = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| Relation::create(&mut fb, s, true, i as u64).unwrap())
+            .collect();
+        (fb, rels)
+    }
+
+    #[test]
+    fn plans_without_a_native_algorithm_return_none() {
+        let (mut fb, rels) =
+            backend_with(&[RelSpec::ints("A", "HDD", 50), RelSpec::ints("B", "HDD", 50)]);
+        let plans = [
+            Plan::BnlJoin {
+                outer: 0,
+                inner: 1,
+                k1: 8,
+                k2: 8,
+                tiling: None,
+                pred: JoinPred::KeyEq,
+                order_inputs: false,
+                output: Output::Discard,
+            },
+            Plan::NaiveJoin {
+                outer: 0,
+                inner: 1,
+                pred: JoinPred::KeyEq,
+                output: Output::Discard,
+            },
+            Plan::Aggregate { input: 0, b_in: 8 },
+        ];
+        for plan in &plans {
+            assert!(
+                run(&mut fb, &rels, plan).unwrap().is_none(),
+                "{}",
+                plan.name()
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_relation_is_a_bad_relation() {
+        let (mut fb, rels) = backend_with(&[RelSpec::ints("A", "HDD", 50)]);
+        let plans = [
+            (
+                Plan::DedupSorted {
+                    input: 3,
+                    b_in: 8,
+                    output: Output::Discard,
+                },
+                3,
+            ),
+            (
+                Plan::ColumnZip {
+                    columns: vec![0, 1],
+                    b_in: 8,
+                    output: Output::Discard,
+                },
+                1,
+            ),
+        ];
+        for (plan, bad) in &plans {
+            let err = run(&mut fb, &rels, plan);
+            assert!(
+                matches!(err, Err(ExecError::BadRelation(i)) if i == *bad),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn narrow_columns_are_a_bad_parameter() {
+        let mut spec = RelSpec::ints("N", "HDD", 50);
+        spec.col_bytes = 4;
+        let (mut fb, rels) = backend_with(&[spec]);
+        let mark = fb.watermark("HDD");
+        let plan = Plan::ExternalSort {
+            input: 0,
+            fan_in: 2,
+            b_in: 8,
+            b_out: 8,
+            scratch: "HDD".into(),
+            output: Output::Discard,
+        };
+        let err = run(&mut fb, &rels, &plan);
+        assert!(matches!(err, Err(ExecError::BadParameter(_))), "{err:?}");
+        assert_eq!(fb.watermark("HDD"), mark);
+        assert_eq!(fb.pinned_pages(), 0);
+    }
 }

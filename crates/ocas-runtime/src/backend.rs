@@ -3,9 +3,9 @@
 //! [`StorageBackend`] seam with per-device I/O counters that mirror the
 //! simulator's [`DeviceStats`].
 
-use crate::pool::{BufferPool, PolicyKind, PoolStats};
+use crate::pool::{BufferPool, PoolStats};
 use ocas_hierarchy::Hierarchy;
-use ocas_storage::fault::{FaultOp, FaultPlan, FaultState, RetryPolicy};
+use ocas_storage::fault::{FaultKind, FaultOp, FaultPlan, FaultState, RetryPolicy};
 use ocas_storage::{DeviceStats, FileId, RecoveryCounters, StorageBackend, StorageError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -34,8 +34,6 @@ pub struct PoolConfig {
     pub page_bytes: usize,
     /// Frames per device pool.
     pub frames: usize,
-    /// Eviction policy.
-    pub policy: PolicyKind,
     /// Timing mode (buffered page-cache I/O vs fsync/`O_DIRECT`-bounded).
     pub timing: TimingMode,
 }
@@ -45,7 +43,6 @@ impl Default for PoolConfig {
         PoolConfig {
             page_bytes: 0,
             frames: 256,
-            policy: PolicyKind::Lru,
             timing: TimingMode::Buffered,
         }
     }
@@ -149,8 +146,8 @@ struct Injector {
 
 /// The real-I/O backend: files on disk, wall-clock accounting.
 ///
-/// Every device of the hierarchy's storage tree maps to one sparse backing
-/// file inside a per-backend temp directory; engine file extents are
+/// Every device of the hierarchy's storage tree maps to one backing file
+/// inside a per-backend temp directory; engine file extents are
 /// bump-allocated ranges of those files, exactly like the simulator's
 /// extent allocator — so a plan executed here issues the same `(device,
 /// offset, len)` request stream as on [`ocas_storage::StorageSim`], but
@@ -161,7 +158,6 @@ struct Injector {
 /// one at a `FileBackend` would faithfully write that much filler.
 pub struct FileBackend {
     dir: PathBuf,
-    keep_dir: bool,
     timing: TimingMode,
     devices: Vec<DeviceFile>,
     device_by_name: BTreeMap<String, usize>,
@@ -201,18 +197,7 @@ impl FileBackend {
     pub fn from_hierarchy(h: &Hierarchy, cfg: PoolConfig) -> Result<FileBackend, StorageError> {
         let seq = BACKEND_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("ocas-runtime-{}-{seq}", std::process::id()));
-        FileBackend::in_dir(h, cfg, &dir, false)
-    }
-
-    /// Builds a backend in `dir` (created if missing); `keep` leaves the
-    /// directory behind on drop for inspection.
-    pub fn in_dir(
-        h: &Hierarchy,
-        cfg: PoolConfig,
-        dir: &Path,
-        keep: bool,
-    ) -> Result<FileBackend, StorageError> {
-        std::fs::create_dir_all(dir).map_err(io_err)?;
+        std::fs::create_dir_all(&dir).map_err(io_err)?;
         let mut devices = Vec::new();
         let mut device_by_name = BTreeMap::new();
         let mut capacity = Vec::new();
@@ -226,9 +211,6 @@ impl FileBackend {
                 .truncate(true)
                 .open(&path)
                 .map_err(io_err)?;
-            // Sparse up to the device capacity: reads of unwritten ranges
-            // see zeros, allocation never preallocates blocks.
-            file.set_len(props.size).map_err(io_err)?;
             let page = if cfg.page_bytes > 0 {
                 cfg.page_bytes
             } else {
@@ -248,7 +230,7 @@ impl FileBackend {
             capacity.push(props.size);
             devices.push(DeviceFile {
                 name: props.name.clone(),
-                pool: BufferPool::new(file, page, cfg.frames, cfg.policy)
+                pool: BufferPool::new(file, page, cfg.frames)
                     .with_direct(direct)
                     .with_label(&props.name),
                 stats: DeviceStats::default(),
@@ -258,8 +240,7 @@ impl FileBackend {
         }
         let n = devices.len();
         Ok(FileBackend {
-            dir: dir.to_path_buf(),
-            keep_dir: keep,
+            dir,
             timing: cfg.timing,
             devices,
             device_by_name,
@@ -309,10 +290,22 @@ impl FileBackend {
         self.devices.iter().map(|d| d.pool.pinned_frames()).sum()
     }
 
-    /// Drops every pin on every device pool (error-path cleanup).
-    pub fn release_all_pins(&mut self) {
+    /// Every device's allocation watermark, in device order: the marks
+    /// [`rollback`](FileBackend::rollback) returns to.
+    pub(crate) fn watermarks(&self) -> Vec<u64> {
+        self.allocated.clone()
+    }
+
+    /// Error-path cleanup of a failed native run: drops every pin and
+    /// truncates each device to its mark from
+    /// [`watermarks`](FileBackend::watermarks), releasing the run's spill
+    /// and output extents.
+    pub(crate) fn rollback(&mut self, marks: &[u64]) {
         for d in &mut self.devices {
             d.pool.unpin_all();
+        }
+        for (allocated, mark) in self.allocated.iter_mut().zip(marks) {
+            *allocated = (*allocated).min(*mark);
         }
     }
 
@@ -333,53 +326,31 @@ impl FileBackend {
             return attempt(self, len);
         };
         let device = self.devices[d].name.clone();
-        let mut retried = false;
         let mut try_no = 0u32;
         let out = loop {
             let (idx, fault) =
                 inj.state
                     .on_request(&device, op, ocas_obs::Clock::Wall, self.clock_seconds);
-            let transient = match fault {
-                None => match attempt(self, len) {
-                    Ok(v) => {
-                        if retried {
-                            inj.state.counters.retry_successes += 1;
-                        }
-                        break Ok(v);
+            match fault {
+                Some(FaultKind::Latency(extra)) => self.clock_seconds += extra,
+                Some(FaultKind::TornWriteBack) => self.devices[d].pool.schedule_torn(0),
+                _ => {}
+            }
+            match fault {
+                None | Some(FaultKind::Latency(_) | FaultKind::TornWriteBack) => {
+                    let out = attempt(self, len);
+                    if out.is_ok() && try_no > 0 {
+                        inj.state.counters.retry_successes += 1;
                     }
-                    Err(e) => break Err(e),
-                },
-                Some(ocas_storage::FaultKind::Latency(extra)) => {
-                    self.clock_seconds += extra;
-                    match attempt(self, len) {
-                        Ok(v) => {
-                            if retried {
-                                inj.state.counters.retry_successes += 1;
-                            }
-                            break Ok(v);
-                        }
-                        Err(e) => break Err(e),
-                    }
+                    break out;
                 }
-                Some(ocas_storage::FaultKind::TornWriteBack) => {
-                    self.devices[d].pool.schedule_torn(0);
-                    match attempt(self, len) {
-                        Ok(v) => {
-                            if retried {
-                                inj.state.counters.retry_successes += 1;
-                            }
-                            break Ok(v);
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
-                Some(ocas_storage::FaultKind::NoSpace) => {
+                Some(FaultKind::NoSpace) => {
                     break Err(StorageError::NoSpace {
                         device: device.clone(),
                         requested: len,
                     });
                 }
-                Some(ocas_storage::FaultKind::ShortRead | ocas_storage::FaultKind::ShortWrite)
+                Some(FaultKind::ShortRead | FaultKind::ShortWrite)
                     if len > 1 && op != FaultOp::Alloc =>
                 {
                     // Move (and charge) half the request, then fail this
@@ -388,17 +359,13 @@ impl FileBackend {
                     if let Err(e) = attempt(self, len / 2) {
                         break Err(e);
                     }
-                    StorageError::Transient {
-                        device: device.clone(),
-                        op: op.name(),
-                        request: idx,
-                    }
                 }
-                Some(_) => StorageError::Transient {
-                    device: device.clone(),
-                    op: op.name(),
-                    request: idx,
-                },
+                Some(_) => {}
+            }
+            let transient = StorageError::Transient {
+                device: device.clone(),
+                op: op.name(),
+                request: idx,
             };
             try_no += 1;
             if try_no >= inj.policy.max_attempts {
@@ -408,10 +375,24 @@ impl FileBackend {
             self.clock_seconds += inj.policy.backoff_for(try_no - 1);
             inj.state
                 .note_retry(&device, ocas_obs::Clock::Wall, self.clock_seconds);
-            retried = true;
         };
         self.injector = Some(inj);
         out
+    }
+
+    fn alloc_raw(&mut self, d: usize, device: &str, len: u64) -> Result<FileId, StorageError> {
+        if self.allocated[d] + len > self.capacity[d] {
+            return Err(StorageError::Full(device.to_string()));
+        }
+        let offset = self.allocated[d];
+        self.allocated[d] += len;
+        let id = FileId(self.files.len());
+        self.files.push(FileMeta {
+            device: d,
+            offset,
+            len,
+        });
+        Ok(id)
     }
 
     fn device_idx(&self, device: &str) -> Result<usize, StorageError> {
@@ -450,63 +431,50 @@ impl FileBackend {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), StorageError> {
-        if self.injector.is_none() {
-            return self.read_into_raw(file, offset, buf);
-        }
-        self.check(file, offset, buf.len() as u64)?;
-        let d = self.meta(file)?.device;
-        self.faulted_io(d, FaultOp::Read, buf.len() as u64, |b, take| {
-            b.read_into_raw(file, offset, &mut buf[..take as usize])
+        self.request(file, offset, buf.len(), FaultOp::Read, |pool, pos, take| {
+            pool.read(pos, &mut buf[..take])
         })
-    }
-
-    /// The uninjected body of [`read_into`](FileBackend::read_into).
-    fn read_into_raw(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(), StorageError> {
-        self.check(file, offset, buf.len() as u64)?;
-        let m = self.meta(file)?.clone();
-        let pos = m.offset + offset;
-        let w0 = ocas_obs::wall_now();
-        let t0 = Instant::now();
-        let d = &mut self.devices[m.device];
-        let seek = pos != d.position;
-        if seek {
-            d.stats.seeks += 1;
-        }
-        d.pool.read(pos, buf)?;
-        d.position = pos + buf.len() as u64;
-        d.stats.bytes_read += buf.len() as u64;
-        let dt = t0.elapsed().as_secs_f64();
-        d.stats.busy_seconds += dt;
-        d.obs_request("read", w0, dt, buf.len() as u64, seek);
-        self.clock_seconds += dt;
-        Ok(())
     }
 
     fn write_impl(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        if self.injector.is_none() {
-            return self.write_impl_raw(file, offset, data);
-        }
-        self.check(file, offset, data.len() as u64)?;
-        let d = self.meta(file)?.device;
-        self.faulted_io(d, FaultOp::Write, data.len() as u64, |b, take| {
-            b.write_impl_raw(file, offset, &data[..take as usize])
-        })
+        self.request(
+            file,
+            offset,
+            data.len(),
+            FaultOp::Write,
+            |pool, pos, take| pool.write(pos, &data[..take]),
+        )
     }
 
-    /// The uninjected body of the charged write path.
-    fn write_impl_raw(
+    /// One charged read or write of `len` bytes at `offset` of `file`,
+    /// through [`faulted_io`](FileBackend::faulted_io). `io(pool, pos, take)`
+    /// moves the first `take` bytes at device position `pos`; a
+    /// short-transfer fault calls it with `take < len`.
+    fn request(
         &mut self,
         file: FileId,
         offset: u64,
-        data: &[u8],
+        len: usize,
+        op: FaultOp,
+        mut io: impl FnMut(&mut BufferPool, u64, usize) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
-        self.check(file, offset, data.len() as u64)?;
+        self.check(file, offset, len as u64)?;
         let m = self.meta(file)?.clone();
+        self.faulted_io(m.device, op, len as u64, |b, take| {
+            b.charge(&m, offset, take as usize, op, &mut io)
+        })
+    }
+
+    /// Moves `len` bytes through `io` and charges them to the device of
+    /// `m`: seek and byte counters, busy time, the clock and an obs span.
+    fn charge(
+        &mut self,
+        m: &FileMeta,
+        offset: u64,
+        len: usize,
+        op: FaultOp,
+        io: &mut impl FnMut(&mut BufferPool, u64, usize) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
         let pos = m.offset + offset;
         let w0 = ocas_obs::wall_now();
         let t0 = Instant::now();
@@ -515,12 +483,16 @@ impl FileBackend {
         if seek {
             d.stats.seeks += 1;
         }
-        d.pool.write(pos, data)?;
-        d.position = pos + data.len() as u64;
-        d.stats.bytes_written += data.len() as u64;
+        io(&mut d.pool, pos, len)?;
+        d.position = pos + len as u64;
+        if op == FaultOp::Write {
+            d.stats.bytes_written += len as u64;
+        } else {
+            d.stats.bytes_read += len as u64;
+        }
         let dt = t0.elapsed().as_secs_f64();
         d.stats.busy_seconds += dt;
-        d.obs_request("write", w0, dt, data.len() as u64, seek);
+        d.obs_request(op.name(), w0, dt, len as u64, seek);
         self.clock_seconds += dt;
         Ok(())
     }
@@ -539,16 +511,11 @@ impl FileBackend {
         out: &mut ocas_engine::RowBuf,
     ) -> Result<(), StorageError> {
         let tb = width as u64 * 8;
-        let bytes = (count * tb) as usize;
-        if self.scratch.len() < bytes {
-            self.scratch.resize(bytes, 0);
-        }
-        let mut buf = std::mem::take(&mut self.scratch);
-        let r = self.read_into(file, row_offset * tb, &mut buf[..bytes]);
-        self.scratch = buf;
-        r?;
-        out.decode_into(&self.scratch[..bytes]);
-        Ok(())
+        self.with_scratch((count * tb) as usize, |b, buf| {
+            b.read_into(file, row_offset * tb, buf)?;
+            out.decode_into(buf);
+            Ok(())
+        })
     }
 
     /// Uncharged tuple read — [`read_rows`](FileBackend::read_rows) for the
@@ -562,16 +529,26 @@ impl FileBackend {
         out: &mut ocas_engine::RowBuf,
     ) -> Result<(), StorageError> {
         let tb = width as u64 * 8;
-        let bytes = (count * tb) as usize;
-        if self.scratch.len() < bytes {
-            self.scratch.resize(bytes, 0);
+        self.with_scratch((count * tb) as usize, |b, buf| {
+            b.peek(file, row_offset * tb, buf)?;
+            out.decode_into(buf);
+            Ok(())
+        })
+    }
+
+    /// Lends `f` the first `len` bytes of the reusable scratch buffer.
+    fn with_scratch<T>(
+        &mut self,
+        len: usize,
+        f: impl FnOnce(&mut FileBackend, &mut [u8]) -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        if self.scratch.len() < len {
+            self.scratch.resize(len, 0);
         }
         let mut buf = std::mem::take(&mut self.scratch);
-        let r = self.peek(file, row_offset * tb, &mut buf[..bytes]);
+        let r = f(self, &mut buf[..len]);
         self.scratch = buf;
-        r?;
-        out.decode_into(&self.scratch[..bytes]);
-        Ok(())
+        r
     }
 
     /// Uncharged read of real bytes — the harvest path for pulling results
@@ -617,11 +594,6 @@ impl FileBackend {
         Ok(())
     }
 
-    /// The backend's timing mode.
-    pub fn timing(&self) -> TimingMode {
-        self.timing
-    }
-
     /// True when at least one device pool runs on an `O_DIRECT` handle.
     pub fn any_direct(&self) -> bool {
         self.devices.iter().any(|d| d.pool.is_direct())
@@ -646,73 +618,31 @@ impl FileBackend {
 
 impl Drop for FileBackend {
     fn drop(&mut self) {
-        if !self.keep_dir {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-}
-
-impl FileBackend {
-    fn alloc_raw(&mut self, d: usize, device: &str, len: u64) -> Result<FileId, StorageError> {
-        if self.allocated[d] + len > self.capacity[d] {
-            return Err(StorageError::Full(device.to_string()));
-        }
-        let offset = self.allocated[d];
-        self.allocated[d] += len;
-        let id = FileId(self.files.len());
-        self.files.push(FileMeta {
-            device: d,
-            offset,
-            len,
-        });
-        Ok(id)
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
 impl StorageBackend for FileBackend {
     fn alloc(&mut self, device: &str, len: u64) -> Result<FileId, StorageError> {
         let d = self.device_idx(device)?;
-        if self.injector.is_none() {
-            return self.alloc_raw(d, device, len);
-        }
         self.faulted_io(d, FaultOp::Alloc, len, |b, _| b.alloc_raw(d, device, len))
     }
 
     fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         // Accounting read: really fetch the bytes (through the pool, off
         // the file) into a scratch buffer, in bounded chunks.
-        let mut remaining = len;
-        let mut at = offset;
-        while remaining > 0 {
-            let chunk = remaining.min(1 << 20) as usize;
-            if self.scratch.len() < chunk {
-                self.scratch.resize(chunk, 0);
-            }
-            let mut buf = std::mem::take(&mut self.scratch);
-            let r = self.read_into(file, at, &mut buf[..chunk]);
-            self.scratch = buf;
-            r?;
-            at += chunk as u64;
-            remaining -= chunk as u64;
+        for at in (offset..offset + len).step_by(1 << 20) {
+            let chunk = (offset + len - at).min(1 << 20) as usize;
+            self.with_scratch(chunk, |b, buf| b.read_into(file, at, buf))?;
         }
         Ok(())
     }
 
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         // Accounting write: move that many real filler bytes.
-        let mut remaining = len;
-        let mut at = offset;
-        while remaining > 0 {
-            let chunk = remaining.min(1 << 20) as usize;
-            if self.scratch.len() < chunk {
-                self.scratch.resize(chunk, 0);
-            }
-            let buf = std::mem::take(&mut self.scratch);
-            let r = self.write_impl(file, at, &buf[..chunk]);
-            self.scratch = buf;
-            r?;
-            at += chunk as u64;
-            remaining -= chunk as u64;
+        for at in (offset..offset + len).step_by(1 << 20) {
+            let chunk = (offset + len - at).min(1 << 20) as usize;
+            self.with_scratch(chunk, |b, buf| b.write_impl(file, at, buf))?;
         }
         Ok(())
     }
@@ -830,8 +760,7 @@ mod tests {
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 241) as u8).collect();
         b.write_bytes(f, 0, &data).unwrap();
         b.flush().unwrap();
-        // The bytes are really on disk (read only the prefix — the device
-        // file is sparse up to the hierarchy capacity).
+        // The bytes are really on disk.
         use std::io::Read;
         let path = b.dir().join("HDD.dev");
         let mut on_disk = vec![0u8; 4096];
@@ -843,6 +772,28 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         b.read_into(f, 0, &mut buf).unwrap();
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn device_files_hold_written_pages_not_capacity() {
+        let h = presets::hdd_ram(1 << 25);
+        let hdd = h.node(h.by_name("HDD").unwrap());
+        assert!(hdd.size >= 1 << 40, "the HDD is a 1 TiB device");
+        let page = hdd.pagesize;
+        let mut b = backend();
+        let f = b.alloc("HDD", page).unwrap();
+        b.write_bytes(f, 0, &vec![7u8; page as usize]).unwrap();
+        b.flush().unwrap();
+        let mut devices = 0;
+        for entry in std::fs::read_dir(b.dir()).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "dev") {
+                let len = std::fs::metadata(&path).unwrap().len();
+                assert!(len <= page, "{path:?} is {len} bytes");
+                devices += 1;
+            }
+        }
+        assert_eq!(devices, 2, "one file per device");
     }
 
     #[test]

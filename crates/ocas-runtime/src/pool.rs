@@ -1,12 +1,11 @@
 //! A page-granular buffer pool over one backing file.
 //!
 //! Every read and write the [`FileBackend`](crate::FileBackend) issues goes
-//! through a pool: fixed-size page frames cached in memory, a pluggable
-//! [`EvictionPolicy`] choosing victims, pinned pages that may not be
-//! evicted, and dirty pages written back lazily (on eviction or
-//! [`BufferPool::flush`]). This is the real-I/O counterpart of the storage
-//! simulator's free RAM level: the pool is the "memory" of the hierarchy,
-//! the backing file is the device.
+//! through a pool: fixed-size page frames cached in memory, least recently
+//! used eviction, pinned pages that may not be evicted, and dirty pages
+//! written back lazily (on eviction or [`BufferPool::flush`]). This is the
+//! real-I/O counterpart of the storage simulator's free RAM level: the pool
+//! is the "memory" of the hierarchy, the backing file is the device.
 
 use ocas_storage::StorageError;
 use std::collections::{BTreeMap, BTreeSet};
@@ -43,180 +42,14 @@ pub struct PoolStats {
     pub checksum_failures: u64,
 }
 
-/// Chooses which resident page to evict. Implementations see frames by
-/// index and are told about every admit/touch/removal; `victim` must skip
-/// the pinned frames the pool passes in.
-pub trait EvictionPolicy: std::fmt::Debug {
-    /// Policy name (for reports).
-    fn name(&self) -> &'static str;
-    /// A page was loaded into `frame`.
-    fn admit(&mut self, frame: usize);
-    /// The page in `frame` was accessed.
-    fn touch(&mut self, frame: usize);
-    /// The page in `frame` left the pool.
-    fn remove(&mut self, frame: usize);
-    /// Picks a victim among frames for which `pinned[frame]` is false.
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize>;
-}
-
-/// Least-recently-used eviction via logical timestamps.
-#[derive(Debug, Default)]
-pub struct LruPolicy {
-    stamp: Vec<u64>,
-    now: u64,
-}
-
-impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn admit(&mut self, frame: usize) {
-        if frame >= self.stamp.len() {
-            self.stamp.resize(frame + 1, 0);
-        }
-        self.touch(frame);
-    }
-
-    fn touch(&mut self, frame: usize) {
-        self.now += 1;
-        self.stamp[frame] = self.now;
-    }
-
-    fn remove(&mut self, frame: usize) {
-        self.stamp[frame] = 0;
-    }
-
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        self.stamp
-            .iter()
-            .enumerate()
-            .filter(|(f, s)| **s > 0 && !pinned.get(*f).copied().unwrap_or(false))
-            .min_by_key(|(_, s)| **s)
-            .map(|(f, _)| f)
-    }
-}
-
-/// CLOCK (second-chance) eviction: one reference bit per frame, a rotating
-/// hand that clears bits until it finds an unreferenced, unpinned frame.
-#[derive(Debug, Default)]
-pub struct ClockPolicy {
-    referenced: Vec<bool>,
-    resident: Vec<bool>,
-    hand: usize,
-}
-
-impl EvictionPolicy for ClockPolicy {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
-    fn admit(&mut self, frame: usize) {
-        if frame >= self.resident.len() {
-            self.resident.resize(frame + 1, false);
-            self.referenced.resize(frame + 1, false);
-        }
-        self.resident[frame] = true;
-        self.referenced[frame] = true;
-    }
-
-    fn touch(&mut self, frame: usize) {
-        self.referenced[frame] = true;
-    }
-
-    fn remove(&mut self, frame: usize) {
-        self.resident[frame] = false;
-        self.referenced[frame] = false;
-    }
-
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        let n = self.resident.len();
-        if n == 0 {
-            return None;
-        }
-        // Two sweeps suffice: the first clears reference bits, the second
-        // must find a victim unless everything is pinned.
-        for _ in 0..2 * n {
-            let f = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if !self.resident[f] || pinned.get(f).copied().unwrap_or(false) {
-                continue;
-            }
-            if self.referenced[f] {
-                self.referenced[f] = false;
-            } else {
-                return Some(f);
-            }
-        }
-        None
-    }
-}
-
-/// First-in-first-out eviction (admission order, ignores accesses).
-#[derive(Debug, Default)]
-pub struct FifoPolicy {
-    stamp: Vec<u64>,
-    now: u64,
-}
-
-impl EvictionPolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn admit(&mut self, frame: usize) {
-        if frame >= self.stamp.len() {
-            self.stamp.resize(frame + 1, 0);
-        }
-        self.now += 1;
-        self.stamp[frame] = self.now;
-    }
-
-    fn touch(&mut self, _frame: usize) {}
-
-    fn remove(&mut self, frame: usize) {
-        self.stamp[frame] = 0;
-    }
-
-    fn victim(&mut self, pinned: &[bool]) -> Option<usize> {
-        self.stamp
-            .iter()
-            .enumerate()
-            .filter(|(f, s)| **s > 0 && !pinned.get(*f).copied().unwrap_or(false))
-            .min_by_key(|(_, s)| **s)
-            .map(|(f, _)| f)
-    }
-}
-
-/// Which eviction policy a pool should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PolicyKind {
-    /// Least recently used (default).
-    #[default]
-    Lru,
-    /// CLOCK / second chance.
-    Clock,
-    /// First in, first out.
-    Fifo,
-}
-
-impl PolicyKind {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn EvictionPolicy> {
-        match self {
-            PolicyKind::Lru => Box::<LruPolicy>::default(),
-            PolicyKind::Clock => Box::<ClockPolicy>::default(),
-            PolicyKind::Fifo => Box::<FifoPolicy>::default(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Frame {
     page: u64,
     data: Vec<u8>,
     dirty: bool,
     pins: u32,
+    /// Logical time of the last access (LRU stamp).
+    last_use: u64,
 }
 
 /// The pool: `frames` page-sized buffers fronting one backing file.
@@ -227,7 +60,8 @@ pub struct BufferPool {
     frames: Vec<Frame>,
     /// page number → frame index.
     table: BTreeMap<u64, usize>,
-    policy: Box<dyn EvictionPolicy>,
+    /// Logical clock stamping frame accesses.
+    now: u64,
     stats: PoolStats,
     /// `O_DIRECT` mode: page loads and write-backs go through a 512-byte
     /// aligned staging buffer (direct I/O requires aligned memory, offsets
@@ -252,7 +86,6 @@ impl std::fmt::Debug for BufferPool {
             .field("page_bytes", &self.page_bytes)
             .field("capacity", &self.capacity)
             .field("resident", &self.table.len())
-            .field("policy", &self.policy.name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -264,14 +97,14 @@ fn io_err(e: std::io::Error) -> StorageError {
 
 impl BufferPool {
     /// Builds a pool of `capacity` frames of `page_bytes` each over `file`.
-    pub fn new(file: File, page_bytes: usize, capacity: usize, policy: PolicyKind) -> BufferPool {
+    pub fn new(file: File, page_bytes: usize, capacity: usize) -> BufferPool {
         BufferPool {
             file,
             page_bytes: page_bytes.max(1),
             capacity: capacity.max(1),
             frames: Vec::new(),
             table: BTreeMap::new(),
-            policy: policy.build(),
+            now: 0,
             stats: PoolStats::default(),
             direct: false,
             staging: Vec::new(),
@@ -314,15 +147,11 @@ impl BufferPool {
         self.stats
     }
 
-    /// The eviction policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     fn load_page(&mut self, page: u64) -> Result<usize, StorageError> {
+        self.now += 1;
         if let Some(&f) = self.table.get(&page) {
             self.stats.hits += 1;
-            self.policy.touch(f);
+            self.frames[f].last_use = self.now;
             return Ok(f);
         }
         self.stats.misses += 1;
@@ -330,35 +159,27 @@ impl BufferPool {
         self.file
             .seek(SeekFrom::Start(page * self.page_bytes as u64))
             .map_err(io_err)?;
-        // Short reads past EOF leave the tail zeroed (sparse files).
-        if self.direct {
+        // Direct I/O reads into the aligned staging window, buffered I/O
+        // straight into the frame. Short reads past EOF leave the tail
+        // zeroed: device files grow only as pages are written back.
+        let buf = if self.direct {
             let range = self.staging_range();
-            let mut filled = 0;
-            while filled < self.page_bytes {
-                let at = range.start + filled;
-                match self
-                    .file
-                    .read(&mut self.staging[at..range.end])
-                    .map_err(io_err)?
-                {
-                    0 => break,
-                    n => filled += n,
-                }
-            }
-            // The staging buffer is reused across pages: zero the unfilled
-            // tail so a short read matches the buffered path's zero-fill
-            // instead of leaking the previous page's bytes.
-            let start = range.start;
-            self.staging[start + filled..range.end].fill(0);
-            data.copy_from_slice(&self.staging[range]);
+            &mut self.staging[range]
         } else {
-            let mut filled = 0;
-            while filled < data.len() {
-                match self.file.read(&mut data[filled..]).map_err(io_err)? {
-                    0 => break,
-                    n => filled += n,
-                }
+            &mut data[..]
+        };
+        let mut filled = 0;
+        while filled < buf.len() {
+            match self.file.read(&mut buf[filled..]).map_err(io_err)? {
+                0 => break,
+                n => filled += n,
             }
+        }
+        // The staging buffer is reused across pages: zero the unfilled tail
+        // instead of leaking the previous page's bytes.
+        buf[filled..].fill(0);
+        if self.direct {
+            data.copy_from_slice(&self.staging[self.staging_range()]);
         }
         // A page that was ever written back must match its recorded
         // checksum: a mismatch means the write-back was torn (or the file
@@ -373,36 +194,30 @@ impl BufferPool {
                 });
             }
         }
-        let frame = if self.frames.len() < self.capacity {
-            self.frames.push(Frame {
-                page,
-                data,
-                dirty: false,
-                pins: 0,
-            });
+        let frame = Frame {
+            page,
+            data,
+            dirty: false,
+            pins: 0,
+            last_use: self.now,
+        };
+        let f = if self.frames.len() < self.capacity {
+            self.frames.push(frame);
             self.frames.len() - 1
         } else {
-            let pinned: Vec<bool> = self.frames.iter().map(|f| f.pins > 0).collect();
-            let victim = self
-                .policy
-                .victim(&pinned)
+            // Least recently used unpinned frame.
+            let victim = (0..self.frames.len())
+                .filter(|&f| self.frames[f].pins == 0)
+                .min_by_key(|&f| self.frames[f].last_use)
                 .ok_or_else(|| StorageError::Io("all buffer-pool pages pinned".to_string()))?;
             self.stats.evictions += 1;
             self.write_back(victim)?;
-            let old = self.frames[victim].page;
-            self.table.remove(&old);
-            self.policy.remove(victim);
-            self.frames[victim] = Frame {
-                page,
-                data,
-                dirty: false,
-                pins: 0,
-            };
+            self.table.remove(&self.frames[victim].page);
+            self.frames[victim] = frame;
             victim
         };
-        self.table.insert(page, frame);
-        self.policy.admit(frame);
-        Ok(frame)
+        self.table.insert(page, f);
+        Ok(f)
     }
 
     fn write_back(&mut self, frame: usize) -> Result<(), StorageError> {
@@ -432,16 +247,14 @@ impl BufferPool {
             self.file
                 .seek(SeekFrom::Start(page * self.page_bytes as u64))
                 .map_err(io_err)?;
-            if self.direct {
+            let src = if self.direct {
                 let range = self.staging_range();
                 self.staging[range.clone()].copy_from_slice(&self.frames[frame].data);
-                let staged = &self.staging[range.start..range.start + take];
-                self.file.write_all(staged).map_err(io_err)?;
+                &self.staging[range]
             } else {
-                self.file
-                    .write_all(&self.frames[frame].data[..take])
-                    .map_err(io_err)?;
-            }
+                &self.frames[frame].data[..]
+            };
+            self.file.write_all(&src[..take]).map_err(io_err)?;
         }
         self.frames[frame].dirty = false;
         self.stats.write_backs += 1;
@@ -501,10 +314,8 @@ impl BufferPool {
             match self.load_page(page) {
                 Ok(f) => self.frames[f].pins += 1,
                 Err(e) => {
-                    for done in first..page {
-                        if let Some(&f) = self.table.get(&done) {
-                            self.frames[f].pins = self.frames[f].pins.saturating_sub(1);
-                        }
+                    if page > first {
+                        self.unpin(first * pb, (page - first) * pb);
                     }
                     return Err(e);
                 }
@@ -551,14 +362,14 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    fn temp_pool(capacity: usize, policy: PolicyKind) -> BufferPool {
+    fn temp_pool(capacity: usize) -> BufferPool {
         let dir = std::env::temp_dir().join(format!(
             "ocas-pool-test-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{policy:?}-{capacity}.bin"));
+        let path = dir.join(format!("{capacity}.bin"));
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -567,12 +378,12 @@ mod tests {
             .open(path)
             .unwrap();
         file.set_len(1 << 20).unwrap();
-        BufferPool::new(file, 64, capacity, policy)
+        BufferPool::new(file, 64, capacity)
     }
 
     #[test]
     fn read_back_what_was_written() {
-        let mut p = temp_pool(8, PolicyKind::Lru);
+        let mut p = temp_pool(8);
         let data: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
         p.write(100, &data).unwrap();
         let mut buf = vec![0u8; 300];
@@ -582,7 +393,7 @@ mod tests {
 
     #[test]
     fn dirty_pages_survive_eviction() {
-        let mut p = temp_pool(2, PolicyKind::Lru);
+        let mut p = temp_pool(2);
         // Write 8 pages through a 2-frame pool, forcing write-backs.
         for page in 0u64..8 {
             p.write(page * 64, &[page as u8 + 1; 64]).unwrap();
@@ -599,7 +410,7 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let mut p = temp_pool(4, PolicyKind::Lru);
+        let mut p = temp_pool(4);
         let mut buf = [0u8; 64];
         p.read(0, &mut buf).unwrap();
         p.read(0, &mut buf).unwrap();
@@ -610,7 +421,7 @@ mod tests {
 
     #[test]
     fn lru_keeps_the_hot_page() {
-        let mut p = temp_pool(2, PolicyKind::Lru);
+        let mut p = temp_pool(2);
         let mut buf = [0u8; 64];
         p.read(0, &mut buf).unwrap(); // page 0
         p.read(64, &mut buf).unwrap(); // page 1
@@ -624,37 +435,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_admission_order_even_if_hot() {
-        let mut p = temp_pool(2, PolicyKind::Fifo);
-        let mut buf = [0u8; 64];
-        p.read(0, &mut buf).unwrap(); // page 0 first in
-        p.read(64, &mut buf).unwrap(); // page 1
-        p.read(0, &mut buf).unwrap(); // touching does not help under FIFO
-        p.read(128, &mut buf).unwrap(); // evicts page 0
-        let before = p.stats().misses;
-        p.read(0, &mut buf).unwrap();
-        assert_eq!(p.stats().misses, before + 1, "page 0 was evicted");
-    }
-
-    #[test]
-    fn clock_grants_second_chance() {
-        let mut p = temp_pool(2, PolicyKind::Clock);
-        let mut buf = [0u8; 64];
-        p.read(0, &mut buf).unwrap();
-        p.read(64, &mut buf).unwrap();
-        // Both referenced; the hand clears page 0's bit first, then page
-        // 1's, then evicts page 0 (first unreferenced found).
-        p.read(128, &mut buf).unwrap();
-        let before = p.stats().misses;
-        p.read(64, &mut buf).unwrap();
-        assert_eq!(p.stats().misses, before, "page 1 got its second chance");
-        p.read(0, &mut buf).unwrap();
-        assert_eq!(p.stats().misses, before + 1, "page 0 was the victim");
-    }
-
-    #[test]
     fn pinned_pages_are_never_evicted() {
-        let mut p = temp_pool(2, PolicyKind::Lru);
+        let mut p = temp_pool(2);
         p.write(0, &[9u8; 64]).unwrap();
         p.pin(0, 64).unwrap();
         let mut buf = [0u8; 64];
@@ -676,7 +458,7 @@ mod tests {
 
     #[test]
     fn torn_write_back_detected_as_corrupt_page() {
-        let mut p = temp_pool(2, PolicyKind::Lru).with_label("HDD");
+        let mut p = temp_pool(2).with_label("HDD");
         // Dirty page 0 with content whose halves differ, tear its
         // write-back, then force it out and back in.
         let mut content = [0xAAu8; 64];
@@ -698,7 +480,7 @@ mod tests {
 
     #[test]
     fn clean_write_backs_verify_on_reload() {
-        let mut p = temp_pool(2, PolicyKind::Lru).with_label("HDD");
+        let mut p = temp_pool(2).with_label("HDD");
         let content = [0x5Au8; 64];
         p.write(0, &content).unwrap();
         let mut buf = [0u8; 64];
@@ -714,7 +496,7 @@ mod tests {
         // 2 frames, one already pinned: pinning a 2-page span pins its
         // first page, then fails loading the second (every frame pinned)
         // — the partial pin must be rolled back.
-        let mut p = temp_pool(2, PolicyKind::Lru);
+        let mut p = temp_pool(2);
         p.pin(0, 64).unwrap();
         assert_eq!(p.pinned_frames(), 1);
         let err = p.pin(64, 128);
@@ -727,7 +509,7 @@ mod tests {
 
     #[test]
     fn unpin_all_clears_a_jam() {
-        let mut p = temp_pool(2, PolicyKind::Lru);
+        let mut p = temp_pool(2);
         p.pin(0, 64).unwrap();
         p.pin(64, 64).unwrap();
         let mut buf = [0u8; 64];
@@ -739,7 +521,7 @@ mod tests {
 
     #[test]
     fn flush_persists_dirty_pages() {
-        let mut p = temp_pool(8, PolicyKind::Lru);
+        let mut p = temp_pool(8);
         p.write(10, b"hello pool").unwrap();
         assert_eq!(p.stats().write_backs, 0);
         p.flush().unwrap();

@@ -1,15 +1,12 @@
 //! The runtime entry point: execute one physical plan for real, with a
 //! twin simulated run for side-by-side seconds.
 
-use crate::algos::{self, AlgoError, AlgoRun};
+use crate::algos;
 use crate::backend::{FileBackend, PoolConfig};
 use crate::pool::PoolStats;
 use ocas_engine::{CpuModel, ExecError, Executor, Mode, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::Hierarchy;
-use ocas_storage::{
-    DeviceStats, FaultPlan, RecoveryCounters, RetryPolicy, StorageBackend, StorageError, StorageSim,
-};
-use std::path::PathBuf;
+use ocas_storage::{DeviceStats, RecoveryCounters, StorageBackend, StorageError, StorageSim};
 use std::time::Instant;
 
 /// Runtime failures.
@@ -19,8 +16,6 @@ pub enum RuntimeError {
     Exec(ExecError),
     /// Storage-level failure.
     Storage(StorageError),
-    /// Real-algorithm failure.
-    Algo(AlgoError),
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -28,7 +23,6 @@ impl std::fmt::Display for RuntimeError {
         match self {
             RuntimeError::Exec(e) => write!(f, "execution: {e}"),
             RuntimeError::Storage(e) => write!(f, "storage: {e}"),
-            RuntimeError::Algo(e) => write!(f, "algorithm: {e}"),
         }
     }
 }
@@ -43,11 +37,6 @@ impl From<ExecError> for RuntimeError {
 impl From<StorageError> for RuntimeError {
     fn from(e: StorageError) -> Self {
         RuntimeError::Storage(e)
-    }
-}
-impl From<AlgoError> for RuntimeError {
-    fn from(e: AlgoError) -> Self {
-        RuntimeError::Algo(e)
     }
 }
 
@@ -101,15 +90,6 @@ pub struct Runtime {
     pub hierarchy: Hierarchy,
     /// Buffer-pool configuration for the real backend.
     pub pool: PoolConfig,
-    /// Where to put the temp files (`None` = system temp dir).
-    pub dir: Option<PathBuf>,
-    /// Fault plan + retry policy interposed on the real backend's I/O
-    /// (`None` = clean runs). The simulated twin always runs clean: it is
-    /// the oracle the faulted run is compared against.
-    pub faults: Option<(FaultPlan, RetryPolicy)>,
-    /// Alternate spill device the out-of-core algorithms fail over to on
-    /// capacity exhaustion.
-    pub spill_fallback: Option<String>,
 }
 
 impl Runtime {
@@ -118,9 +98,6 @@ impl Runtime {
         Runtime {
             hierarchy,
             pool: PoolConfig::default(),
-            dir: None,
-            faults: None,
-            spill_fallback: None,
         }
     }
 
@@ -128,115 +105,6 @@ impl Runtime {
     pub fn with_pool(mut self, pool: PoolConfig) -> Runtime {
         self.pool = pool;
         self
-    }
-
-    /// Interposes a fault plan (with its retry policy) on the real
-    /// backend of every run, builder style.
-    pub fn with_faults(mut self, plan: FaultPlan, policy: RetryPolicy) -> Runtime {
-        self.faults = Some((plan, policy));
-        self
-    }
-
-    /// Configures the alternate spill device for ENOSPC failover,
-    /// builder style.
-    pub fn with_spill_fallback(mut self, device: &str) -> Runtime {
-        self.spill_fallback = Some(device.to_string());
-        self
-    }
-
-    fn backend(&self) -> Result<FileBackend, StorageError> {
-        let mut fb = match &self.dir {
-            Some(d) => FileBackend::in_dir(&self.hierarchy, self.pool, d, false)?,
-            None => FileBackend::from_hierarchy(&self.hierarchy, self.pool)?,
-        };
-        if let Some((plan, policy)) = &self.faults {
-            fb = fb.with_faults(plan.clone(), *policy);
-        }
-        if let Some(dev) = &self.spill_fallback {
-            fb = fb.with_spill_fallback(dev);
-        }
-        Ok(fb)
-    }
-
-    /// Dispatches the native out-of-core implementation for `plan`, if one
-    /// exists (everything except the nested-loop joins and aggregation,
-    /// which stream through the generic executor).
-    fn run_native(
-        fb: &mut FileBackend,
-        rels: &[Relation],
-        plan: &Plan,
-    ) -> Result<Option<AlgoRun>, RuntimeError> {
-        let rel = |i: usize| -> Result<&Relation, RuntimeError> {
-            rels.get(i).ok_or(ExecError::BadRelation(i).into())
-        };
-        let run = match plan {
-            Plan::ExternalSort {
-                input,
-                fan_in,
-                b_in,
-                b_out,
-                scratch,
-                output,
-            } => Some(algos::external_sort(
-                fb,
-                rel(*input)?,
-                *fan_in,
-                *b_in,
-                *b_out,
-                scratch,
-                output,
-            )?),
-            Plan::GraceJoin {
-                left,
-                right,
-                partitions,
-                buffer_bytes,
-                spill,
-                pred,
-                output,
-            } => Some(algos::grace_join(
-                fb,
-                rel(*left)?,
-                rel(*right)?,
-                *partitions,
-                *buffer_bytes,
-                spill,
-                matches!(pred, ocas_engine::JoinPred::Cross),
-                output,
-            )?),
-            Plan::MergePass {
-                left,
-                right,
-                kind,
-                b_in,
-                output,
-            } => Some(algos::merge_pass(
-                fb,
-                rel(*left)?,
-                rel(*right)?,
-                *kind,
-                *b_in,
-                output,
-            )?),
-            Plan::ColumnZip {
-                columns,
-                b_in,
-                output,
-            } => {
-                let cols: Vec<Relation> = columns
-                    .iter()
-                    .map(|c| rel(*c).cloned())
-                    .collect::<Result<_, _>>()?;
-                Some(algos::column_zip(fb, &cols, *b_in, output)?)
-            }
-            Plan::DedupSorted {
-                input,
-                b_in,
-                output,
-            } => Some(algos::dedup_sorted(fb, rel(*input)?, *b_in, output)?),
-            _ => None,
-        };
-        Ok(run)
     }
 
     /// Runs `plan` for real against temp files, then runs the identical
@@ -252,14 +120,14 @@ impl Runtime {
         seed: u64,
     ) -> Result<RealReport, RuntimeError> {
         // Real execution.
-        let mut fb = self.backend()?;
+        let mut fb = FileBackend::from_hierarchy(&self.hierarchy, self.pool)?;
         let mut rels = Vec::new();
         for (i, spec) in rel_specs.iter().enumerate() {
             rels.push(Relation::create(&mut fb, spec, true, seed + i as u64)?);
         }
         let t0 = Instant::now();
-        let (native, generic) = match Self::run_native(&mut fb, &rels, plan)? {
-            Some(run) => (Some(run), None),
+        let (mut output, native) = match algos::run(&mut fb, &rels, plan)? {
+            Some(mut run) => (std::mem::take(&mut run.output), Some(run)),
             None => {
                 // Nested-loop joins and aggregation run through the generic
                 // executor: same faithful semantics, I/O against real files.
@@ -269,7 +137,7 @@ impl Runtime {
                 }
                 let stats = ex.run(plan)?;
                 fb = ex.sm;
-                (None, Some(stats.output.unwrap_or_default()))
+                (stats.output.unwrap_or_default(), None)
             }
         };
         // Write-back and sync belong to the measured run: without this,
@@ -279,19 +147,13 @@ impl Runtime {
 
         // Harvest (uncharged, outside the measured window): device-bound
         // native runs read their output extents back for verification.
-        let (output, peak_resident_bytes) = match native {
-            Some(run) => {
-                let mut out = run.output;
-                if out.is_empty() && !run.out_extents.is_empty() {
-                    for (file, bytes) in &run.out_extents {
-                        let rows = bytes / (run.out_width as u64 * 8);
-                        fb.peek_rows(*file, 0, rows, run.out_width, &mut out)?;
-                    }
-                }
-                (out, Some(run.peak_resident_bytes))
+        if let Some(run) = native.as_ref().filter(|_| output.is_empty()) {
+            for (file, bytes) in &run.out_extents {
+                let rows = bytes / (run.out_width as u64 * 8);
+                fb.peek_rows(*file, 0, rows, run.out_width, &mut output)?;
             }
-            None => (generic.unwrap_or_default(), None),
-        };
+        }
+        let peak_resident_bytes = native.map(|run| run.peak_resident_bytes);
         let io_seconds = fb.clock();
         let real_devices = fb.all_device_stats();
         let pools = fb.pool_stats();

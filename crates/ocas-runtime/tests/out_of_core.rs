@@ -7,7 +7,7 @@
 
 use ocas_engine::{merge_bufs, MergeKind, Output, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::presets;
-use ocas_runtime::{algos, FileBackend, PoolConfig, Runtime, TimingMode};
+use ocas_runtime::{algos, AlgoRun, FileBackend, PoolConfig, Runtime, TimingMode};
 use ocas_storage::StorageBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,6 +36,13 @@ fn streamed_sorted_ints(fb: &mut FileBackend, device: &str, card: u64, seed: u64
         at += take;
     }
     Relation::attach(file, card, 1, card.max(1))
+}
+
+/// Runs `plan` over `rels` through the native dispatcher.
+fn native(fb: &mut FileBackend, rels: &[Relation], plan: Plan) -> AlgoRun {
+    algos::run(fb, rels, &plan)
+        .unwrap()
+        .expect("plan has a native algorithm")
 }
 
 #[test]
@@ -132,6 +139,7 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     let a = streamed_sorted_ints(&mut fb, "HDD", 800_000, 1);
     let b = streamed_sorted_ints(&mut fb, "HDD", 400_000, 2);
     let input_bytes = a.bytes() + b.bytes();
+    let rels = [a.clone(), b.clone()];
     assert!(input_bytes > 30 * ram_bytes, "input dwarfs RAM");
     let out = Output::ToDevice {
         device: "HDD".into(),
@@ -139,8 +147,17 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     };
 
     // Merge: 2 x b_in-tuple cursors + one 16 KiB staging buffer.
-    let run =
-        algos::merge_pass(&mut fb, &a, &b, MergeKind::MultisetUnionSorted, 1024, &out).unwrap();
+    let run = native(
+        &mut fb,
+        &rels,
+        Plan::MergePass {
+            left: 0,
+            right: 1,
+            kind: MergeKind::MultisetUnionSorted,
+            b_in: 1024,
+            output: out.clone(),
+        },
+    );
     assert_eq!(run.rows, 1_200_000);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
@@ -150,7 +167,15 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     );
 
     // Dedup: one cursor + staging.
-    let run = algos::dedup_sorted(&mut fb, &a, 1024, &out).unwrap();
+    let run = native(
+        &mut fb,
+        &rels,
+        Plan::DedupSorted {
+            input: 0,
+            b_in: 1024,
+            output: out.clone(),
+        },
+    );
     assert!(run.rows > 0 && run.rows <= a.card);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
@@ -159,8 +184,15 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     );
 
     // Zip: one cursor per column + staging.
-    let cols = [a.clone(), b.clone()];
-    let run = algos::column_zip(&mut fb, &cols, 1024, &out).unwrap();
+    let run = native(
+        &mut fb,
+        &rels,
+        Plan::ColumnZip {
+            columns: vec![0, 1],
+            b_in: 1024,
+            output: out.clone(),
+        },
+    );
     assert_eq!(run.rows, b.card);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
@@ -169,7 +201,18 @@ fn streaming_templates_peak_memory_is_bounded_by_ram_not_cardinality() {
     );
 
     // External sort under the same bound: fan_in*b_in + b_out tuples.
-    let run = algos::external_sort(&mut fb, &b, 4, 512, 1024, "HDD", &out).unwrap();
+    let run = native(
+        &mut fb,
+        &rels,
+        Plan::ExternalSort {
+            input: 1,
+            fan_in: 4,
+            b_in: 512,
+            b_out: 1024,
+            scratch: "HDD".into(),
+            output: out,
+        },
+    );
     assert_eq!(run.rows, b.card);
     assert!(
         run.peak_resident_bytes <= ram_bytes,
@@ -192,12 +235,23 @@ fn native_merge_agrees_with_reference_semantics_on_disk_data() {
     let mut bbuf = RowBuf::new(1);
     fb.peek_rows(a.file, 0, a.card, 1, &mut abuf).unwrap();
     fb.peek_rows(b.file, 0, b.card, 1, &mut bbuf).unwrap();
+    let rels = [a, b];
     for kind in [
         MergeKind::SetUnion,
         MergeKind::MultisetUnionSorted,
         MergeKind::MultisetDiffSorted,
     ] {
-        let run = algos::merge_pass(&mut fb, &a, &b, kind, 128, &Output::Discard).unwrap();
+        let run = native(
+            &mut fb,
+            &rels,
+            Plan::MergePass {
+                left: 0,
+                right: 1,
+                kind,
+                b_in: 128,
+                output: Output::Discard,
+            },
+        );
         assert_eq!(
             run.output,
             merge_bufs(&abuf, &bbuf, kind),
@@ -252,7 +306,7 @@ fn disk_bounded_timing_mode_is_correct_and_charges_the_sync() {
 /// `O_DIRECT` itself is unavailable (the aligned-copy logic is identical).
 #[test]
 fn pool_direct_staging_round_trips() {
-    use ocas_runtime::{BufferPool, PolicyKind};
+    use ocas_runtime::BufferPool;
     let dir = std::env::temp_dir().join(format!("ocas-direct-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("staging.bin");
@@ -264,7 +318,7 @@ fn pool_direct_staging_round_trips() {
         .open(&path)
         .unwrap();
     file.set_len(1 << 20).unwrap();
-    let mut pool = BufferPool::new(file, 4096, 4, PolicyKind::Lru).with_direct(true);
+    let mut pool = BufferPool::new(file, 4096, 4).with_direct(true);
     assert!(pool.is_direct());
     let data: Vec<u8> = (0..9000u32).map(|i| (i % 251) as u8).collect();
     pool.write(100, &data).unwrap();

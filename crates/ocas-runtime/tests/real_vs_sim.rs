@@ -8,7 +8,7 @@
 
 use ocas_engine::{CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation};
 use ocas_hierarchy::{CostPair, DeviceKind, EdgeCosts, Hierarchy, NodeProps, Rat};
-use ocas_runtime::{FileBackend, PolicyKind, PoolConfig, Runtime};
+use ocas_runtime::{FileBackend, PoolConfig, Runtime};
 use ocas_storage::{StorageBackend, StorageSim};
 use proptest::prelude::*;
 
@@ -57,7 +57,6 @@ fn run_both(plan: &Plan, specs: &[RelSpec], seed: u64) -> BothRuns {
         PoolConfig {
             page_bytes: 4096,
             frames: 64,
-            policy: PolicyKind::Lru,
             ..PoolConfig::default()
         },
     )
@@ -268,29 +267,26 @@ fn real_external_sort_is_correct_and_matches_simulator() {
 }
 
 #[test]
-fn eviction_policies_all_produce_correct_results() {
-    for policy in [PolicyKind::Lru, PolicyKind::Clock, PolicyKind::Fifo] {
-        let rt = Runtime::new(unit_page_hierarchy()).with_pool(PoolConfig {
-            page_bytes: 256,
-            frames: 8, // tiny pool: constant eviction pressure
-            policy,
-            ..PoolConfig::default()
-        });
-        let specs = [RelSpec::ints("L", "HDD", 500)];
-        let plan = Plan::ExternalSort {
-            input: 0,
-            fan_in: 2,
-            b_in: 16,
-            b_out: 16,
-            scratch: "HDD".into(),
-            output: Output::Discard,
-        };
-        let report = rt.run_plan(&plan, &specs, 7).unwrap();
-        assert!(report.output.is_sorted(), "{policy:?} sorted");
-        assert_eq!(report.output.len(), 500, "{policy:?} cardinality");
-        let evictions: u64 = report.pools.iter().map(|(_, p)| p.evictions).sum();
-        assert!(evictions > 0, "{policy:?} must be under eviction pressure");
-    }
+fn lru_pool_under_eviction_pressure_produces_correct_results() {
+    let rt = Runtime::new(unit_page_hierarchy()).with_pool(PoolConfig {
+        page_bytes: 256,
+        frames: 8, // tiny pool: constant eviction pressure
+        ..PoolConfig::default()
+    });
+    let specs = [RelSpec::ints("L", "HDD", 500)];
+    let plan = Plan::ExternalSort {
+        input: 0,
+        fan_in: 2,
+        b_in: 16,
+        b_out: 16,
+        scratch: "HDD".into(),
+        output: Output::Discard,
+    };
+    let report = rt.run_plan(&plan, &specs, 7).unwrap();
+    assert!(report.output.is_sorted(), "sorted");
+    assert_eq!(report.output.len(), 500, "cardinality");
+    let evictions: u64 = report.pools.iter().map(|(_, p)| p.evictions).sum();
+    assert!(evictions > 0, "must be under eviction pressure");
 }
 
 /// Streamed creation writes the backing file per block; the bytes on

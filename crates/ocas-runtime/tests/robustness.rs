@@ -4,9 +4,9 @@
 //! leaves the backend clean: no spill extents past the entry watermark,
 //! no pinned pages, and typed errors rather than panics.
 
-use ocas_engine::{Output, RelSpec, Relation, RowBuf};
+use ocas_engine::{ExecError, JoinPred, Output, Plan, RelSpec, Relation, RowBuf};
 use ocas_hierarchy::{presets, DeviceKind, Hierarchy, NodeProps};
-use ocas_runtime::{algos, AlgoError, FileBackend, PoolConfig};
+use ocas_runtime::{algos, AlgoRun, FileBackend, PoolConfig};
 use ocas_storage::{FaultKind, FaultOp, FaultPlan, RetryPolicy, StorageBackend, StorageError};
 
 /// RAM root with the input HDD, a deliberately tiny scratch device, and a
@@ -30,6 +30,38 @@ fn backend(h: &Hierarchy) -> FileBackend {
     FileBackend::from_hierarchy(h, PoolConfig::default()).unwrap()
 }
 
+/// External sort of relation 0 with its runs on `scratch`.
+fn sort(fb: &mut FileBackend, rel: &Relation, scratch: &str) -> Result<AlgoRun, ExecError> {
+    let plan = Plan::ExternalSort {
+        input: 0,
+        fan_in: 4,
+        b_in: 64,
+        b_out: 128,
+        scratch: scratch.into(),
+        output: Output::Discard,
+    };
+    algos::run(fb, std::slice::from_ref(rel), &plan).map(|run| run.expect("native plan"))
+}
+
+/// GRACE equi-join of `l` and `r` with its partitions on `spill`.
+fn grace(
+    fb: &mut FileBackend,
+    l: &Relation,
+    r: &Relation,
+    spill: &str,
+) -> Result<AlgoRun, ExecError> {
+    let plan = Plan::GraceJoin {
+        left: 0,
+        right: 1,
+        partitions: 4,
+        buffer_bytes: 512,
+        spill: spill.into(),
+        pred: JoinPred::KeyEq,
+        output: Output::Discard,
+    };
+    algos::run(fb, &[l.clone(), r.clone()], &plan).map(|run| run.expect("native plan"))
+}
+
 fn sorted_rows(mut rows: RowBuf) -> RowBuf {
     rows.sort();
     rows
@@ -41,15 +73,13 @@ fn sort_degrades_to_smaller_runs_and_fails_over_with_correct_output() {
     // Clean oracle: same data, scratch on the roomy device.
     let mut clean = backend(&h);
     let rel = Relation::create(&mut clean, &RelSpec::ints("A", "HDD", 2_000), true, 9).unwrap();
-    let oracle = algos::external_sort(&mut clean, &rel, 4, 64, 128, "BIG", &Output::Discard)
-        .unwrap()
-        .output;
+    let oracle = sort(&mut clean, &rel, "BIG").unwrap().output;
 
     // Degrading run: scratch is 4 KiB against 16 KB of runs per merge
     // level, so run formation must shrink and eventually fail over.
     let mut fb = backend(&h).with_spill_fallback("BIG");
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 2_000), true, 9).unwrap();
-    let run = algos::external_sort(&mut fb, &rel, 4, 64, 128, "TINY", &Output::Discard).unwrap();
+    let run = sort(&mut fb, &rel, "TINY").unwrap();
     assert_eq!(run.rows, 2_000);
     assert_eq!(run.output, oracle, "degraded sort changed the answer");
 
@@ -70,15 +100,13 @@ fn grace_join_degrades_spill_partitions_with_correct_output() {
     let mut clean = backend(&h);
     let l = Relation::create(&mut clean, &specs[0], true, 3).unwrap();
     let r = Relation::create(&mut clean, &specs[1], true, 4).unwrap();
-    let oracle = algos::grace_join(&mut clean, &l, &r, 4, 512, "BIG", false, &Output::Discard)
-        .unwrap()
-        .output;
+    let oracle = grace(&mut clean, &l, &r, "BIG").unwrap().output;
     assert!(!oracle.is_empty(), "join oracle must produce rows");
 
     let mut fb = backend(&h).with_spill_fallback("BIG");
     let l = Relation::create(&mut fb, &specs[0], true, 3).unwrap();
     let r = Relation::create(&mut fb, &specs[1], true, 4).unwrap();
-    let run = algos::grace_join(&mut fb, &l, &r, 4, 512, "TINY", false, &Output::Discard).unwrap();
+    let run = grace(&mut fb, &l, &r, "TINY").unwrap();
     assert_eq!(
         sorted_rows(run.output),
         sorted_rows(oracle),
@@ -102,7 +130,7 @@ fn injected_no_space_triggers_degradation_not_failure() {
         .unwrap()
         .with_faults(plan, RetryPolicy::default());
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_500), true, 11).unwrap();
-    let run = algos::external_sort(&mut fb, &rel, 4, 64, 128, "HDD2", &Output::Discard).unwrap();
+    let run = sort(&mut fb, &rel, "HDD2").unwrap();
     assert_eq!(run.rows, 1_500);
     let rec = fb.recovery_counters().expect("counters with injector");
     assert_eq!(rec.no_space_faults, 1);
@@ -126,12 +154,11 @@ fn failed_sort_leaves_no_spill_extents_and_no_pins() {
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 2_000), true, 5).unwrap();
     let mark = fb.watermark("HDD2").unwrap();
 
-    let err = algos::external_sort(&mut fb, &rel, 4, 64, 128, "HDD2", &Output::Discard)
-        .expect_err("persistent write faults must fail the sort");
+    let err = sort(&mut fb, &rel, "HDD2").expect_err("persistent write faults must fail the sort");
     assert!(
         matches!(
             &err,
-            AlgoError::Storage(StorageError::Transient { device, .. }) if device == "HDD2"
+            ExecError::Storage(StorageError::Transient { device, .. }) if device == "HDD2"
         ),
         "expected a typed transient error, got: {err}"
     );
@@ -173,10 +200,10 @@ fn failed_grace_partition_leaves_no_spill_extents_and_no_pins() {
     .unwrap();
     let mark = fb.watermark("HDD2").unwrap();
 
-    let err = algos::grace_join(&mut fb, &l, &r, 4, 512, "HDD2", false, &Output::Discard)
-        .expect_err("persistent spill faults must fail the join");
+    let err =
+        grace(&mut fb, &l, &r, "HDD2").expect_err("persistent spill faults must fail the join");
     assert!(
-        matches!(err, AlgoError::Storage(StorageError::Transient { .. })),
+        matches!(err, ExecError::Storage(StorageError::Transient { .. })),
         "expected a typed transient error, got: {err}"
     );
     assert_eq!(
@@ -200,7 +227,7 @@ fn transient_faults_are_absorbed_by_retries() {
         .unwrap()
         .with_faults(plan, RetryPolicy::default());
     let rel = Relation::create(&mut fb, &RelSpec::ints("A", "HDD", 1_200), true, 13).unwrap();
-    let run = algos::external_sort(&mut fb, &rel, 4, 64, 128, "HDD2", &Output::Discard).unwrap();
+    let run = sort(&mut fb, &rel, "HDD2").unwrap();
     assert_eq!(run.rows, 1_200);
     let mut sorted = RowBuf::new(1);
     for row in run.output.iter() {

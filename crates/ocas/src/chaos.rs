@@ -8,7 +8,8 @@
 //! result against the robustness trichotomy:
 //!
 //! 1. **Identical** — the run absorbed or degraded around its faults and
-//!    produced output bit-identical to a clean run of the same backend;
+//!    produced output bit-identical to the clean run (on which both
+//!    backends agree);
 //! 2. **Typed error** — the run failed, but with a typed [`StorageError`]
 //!    and a clean backend behind it (no pinned pages, no leaked temp dir);
 //! 3. never anything else: a wrong answer is reported as
@@ -22,7 +23,9 @@
 
 use crate::experiments::{self, ExpError, Experiment};
 use crate::synth::Synthesis;
-use ocas_engine::{lower, CpuModel, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf};
+use ocas_engine::{
+    lower, CpuModel, ExecError, Executor, Mode, Output, Plan, RelSpec, Relation, RowBuf,
+};
 use ocas_hierarchy::Hierarchy;
 use ocas_runtime::{algos, FileBackend, PoolConfig};
 use ocas_storage::{FaultPlan, Faulted, RecoveryCounters, RetryPolicy, StorageBackend, StorageSim};
@@ -41,10 +44,8 @@ pub struct ChaosWorkload {
     pub rel_specs: Vec<RelSpec>,
     /// Base data seed (relation `i` uses `data_seed + i`).
     pub data_seed: u64,
-    /// Clean-run output on the file backend (the Identical oracle there).
-    pub oracle_file: RowBuf,
-    /// Clean-run output on the simulator (the Identical oracle there).
-    pub oracle_sim: RowBuf,
+    /// Clean-run output, identical on both backends (the Identical oracle).
+    pub oracle: RowBuf,
 }
 
 /// How one faulted run ended.
@@ -162,58 +163,32 @@ fn classify(result: Result<RowBuf, String>, oracle: &RowBuf) -> ChaosOutcome {
     }
 }
 
-/// Dispatches the four native out-of-core algorithms (the chaos plans are
-/// all native shapes).
-fn run_native(fb: &mut FileBackend, w: &ChaosWorkload) -> Result<RowBuf, String> {
+/// Creates the workload's relations on `fb` and runs its plan with the
+/// native algorithm.
+fn run_on_files(fb: &mut FileBackend, w: &ChaosWorkload) -> Result<RowBuf, ExecError> {
     let mut rels = Vec::new();
     for (i, spec) in w.rel_specs.iter().enumerate() {
-        let rel = Relation::create(fb, spec, true, w.data_seed + i as u64)
-            .map_err(|e| format!("setup: {e}"))?;
-        rels.push(rel);
+        rels.push(Relation::create(fb, spec, true, w.data_seed + i as u64)?);
     }
-    let run = match &w.plan {
-        Plan::ExternalSort {
-            input,
-            fan_in,
-            b_in,
-            b_out,
-            scratch,
-            output,
-        } => algos::external_sort(fb, &rels[*input], *fan_in, *b_in, *b_out, scratch, output),
-        Plan::GraceJoin {
-            left,
-            right,
-            partitions,
-            buffer_bytes,
-            spill,
-            pred,
-            output,
-        } => algos::grace_join(
-            fb,
-            &rels[*left],
-            &rels[*right],
-            *partitions,
-            *buffer_bytes,
-            spill,
-            matches!(pred, ocas_engine::JoinPred::Cross),
-            output,
-        ),
-        Plan::MergePass {
-            left,
-            right,
-            kind,
-            b_in,
-            output,
-        } => algos::merge_pass(fb, &rels[*left], &rels[*right], *kind, *b_in, output),
-        Plan::DedupSorted {
-            input,
-            b_in,
-            output,
-        } => algos::dedup_sorted(fb, &rels[*input], *b_in, output),
-        other => return Err(format!("chaos harness cannot run {other:?}")),
+    match algos::run(fb, &rels, &w.plan)? {
+        Some(run) => Ok(run.output),
+        None => Err(ExecError::BadParameter(
+            "chaos plans need a native algorithm",
+        )),
     }
-    .map_err(|e| e.to_string())?;
-    Ok(run.output)
+}
+
+/// Creates the workload's relations on the executor's backend and runs its
+/// plan through the generic executor.
+fn run_on_sim<B: StorageBackend>(
+    ex: &mut Executor<B>,
+    w: &ChaosWorkload,
+) -> Result<RowBuf, ExecError> {
+    for (i, spec) in w.rel_specs.iter().enumerate() {
+        let rel = Relation::create(&mut ex.sm, spec, true, w.data_seed + i as u64)?;
+        ex.add_relation(rel);
+    }
+    Ok(ex.run(&w.plan)?.output.unwrap_or_default())
 }
 
 /// Runs one workload under one fault seed against **real temp files**,
@@ -226,7 +201,7 @@ pub fn run_file(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
         .expect("backend setup")
         .with_faults(plan_for(w, fault_seed), RetryPolicy::default());
     let dir = fb.dir().to_path_buf();
-    let result = run_native(&mut fb, w);
+    let result = run_on_files(&mut fb, w).map_err(|e| e.to_string());
     let pinned_pages = fb.pinned_pages();
     let counters = fb.recovery_counters().unwrap_or_default();
     drop(fb);
@@ -234,7 +209,7 @@ pub fn run_file(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
         workload: w.name,
         backend: "file",
         fault_seed,
-        outcome: classify(result, &w.oracle_file),
+        outcome: classify(result, &w.oracle),
         counters,
         pinned_pages,
         leaked_dir: dir.exists(),
@@ -250,20 +225,12 @@ pub fn run_sim(w: &ChaosWorkload, fault_seed: u64) -> ChaosRun {
         RetryPolicy::default(),
     );
     let mut ex = Executor::new(sim, Mode::Faithful, CpuModel::disabled());
-    let result: Result<RowBuf, String> = (|| {
-        for (i, spec) in w.rel_specs.iter().enumerate() {
-            let rel = Relation::create(&mut ex.sm, spec, true, w.data_seed + i as u64)
-                .map_err(|e| format!("setup: {e}"))?;
-            ex.add_relation(rel);
-        }
-        let stats = ex.run(&w.plan).map_err(|e| e.to_string())?;
-        Ok(stats.output.unwrap_or_default())
-    })();
+    let result = run_on_sim(&mut ex, w).map_err(|e| e.to_string());
     ChaosRun {
         workload: w.name,
         backend: "sim",
         fault_seed,
-        outcome: classify(result, &w.oracle_sim),
+        outcome: classify(result, &w.oracle),
         counters: ex.sm.counters(),
         pinned_pages: 0,
         leaked_dir: false,
@@ -300,7 +267,11 @@ fn lowered(
     Ok(lower(&synth.best.program, e.spec.hint, &cx)?)
 }
 
-/// Builds one workload: computes both clean oracles for the lowered plan.
+/// Builds one workload: runs the lowered plan clean on both backends.
+///
+/// # Panics
+///
+/// If the two clean runs disagree: the workload would have no oracle.
 fn workload(
     name: &'static str,
     e: &Experiment,
@@ -308,27 +279,24 @@ fn workload(
     rel_specs: Vec<RelSpec>,
     data_seed: u64,
 ) -> Result<ChaosWorkload, ExpError> {
-    // Simulator oracle.
-    let sm = StorageSim::from_hierarchy(&e.hierarchy);
-    let mut ex = Executor::new(sm, Mode::Faithful, CpuModel::disabled());
-    for (i, spec) in rel_specs.iter().enumerate() {
-        let rel = Relation::create(&mut ex.sm, spec, true, data_seed + i as u64)?;
-        ex.add_relation(rel);
-    }
-    let oracle_sim = ex.run(&plan)?.output.unwrap_or_default();
-
-    // File-backend oracle (clean run of the native algorithms).
     let mut w = ChaosWorkload {
         name,
         hierarchy: e.hierarchy.clone(),
         plan,
         rel_specs,
         data_seed,
-        oracle_file: RowBuf::new(1),
-        oracle_sim,
+        oracle: RowBuf::new(1),
     };
+    let sm = StorageSim::from_hierarchy(&w.hierarchy);
+    w.oracle = run_on_sim(
+        &mut Executor::new(sm, Mode::Faithful, CpuModel::disabled()),
+        &w,
+    )?;
     let mut fb = FileBackend::from_hierarchy(&w.hierarchy, chaos_pool())?;
-    w.oracle_file = run_native(&mut fb, &w).expect("clean oracle run cannot fail");
+    assert!(
+        run_on_files(&mut fb, &w)? == w.oracle,
+        "{name}: clean runs on files and on the simulator disagree"
+    );
     Ok(w)
 }
 
