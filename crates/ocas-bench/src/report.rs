@@ -3,12 +3,15 @@
 //! One schema'd JSON file records everything the reproduction binaries
 //! measure: the Table 1 rows, the Figure 8 points, the cache-miss
 //! companion, and the real-I/O workloads with wall-clock and simulated
-//! seconds side by side.
+//! seconds side by side. Each section's fields are declared once, in the
+//! section tables below, as `(key, class, getter)`: [`bench_doc`] emits
+//! from them, [`validate_bench_doc`] checks them and
+//! [`check_regressions`] gates them by class.
 
 use crate::json::Json;
 use ocas::experiments::{FaithfulScaleReport, Fig8Point, Row};
 use ocas_engine::{CpuModel, Executor, JoinPred, MergeKind, Mode, Output, Plan, RelSpec, Relation};
-use ocas_hierarchy::presets;
+use ocas_hierarchy::{presets, Hierarchy};
 use ocas_runtime::{FileBackend, PoolConfig, RealReport, Runtime, RuntimeError};
 use ocas_storage::{StorageBackend, StorageSim};
 
@@ -24,62 +27,6 @@ pub struct RealRow {
     pub scale: u64,
     /// The measured report.
     pub report: RealReport,
-}
-
-fn row_json(r: &Row) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("spec_seconds", Json::num(r.spec_seconds)),
-        ("opt_seconds", Json::num(r.opt_seconds)),
-        ("act_seconds", Json::num(r.act_seconds)),
-        ("search_space", Json::num(r.search_space as f64)),
-        ("steps", Json::num(r.steps as f64)),
-        ("ocas_seconds", Json::num(r.ocas_seconds)),
-        ("best_program", Json::str(&r.best_program)),
-    ])
-}
-
-fn fig8_json(p: &Fig8Point) -> Json {
-    Json::obj(vec![
-        ("panel", Json::str(p.panel)),
-        ("label", Json::str(&p.label)),
-        ("estimated_seconds", Json::num(p.estimated)),
-        ("measured_seconds", Json::num(p.measured)),
-    ])
-}
-
-fn real_json(r: &RealRow) -> Json {
-    let bytes_read: u64 = r
-        .report
-        .real_devices
-        .iter()
-        .map(|(_, s)| s.bytes_read)
-        .sum();
-    let bytes_written: u64 = r
-        .report
-        .real_devices
-        .iter()
-        .map(|(_, s)| s.bytes_written)
-        .sum();
-    let (pool_hits, pool_misses) = r
-        .report
-        .pools
-        .iter()
-        .fold((0u64, 0u64), |(h, m), (_, p)| (h + p.hits, m + p.misses));
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("scale", Json::num(r.scale as f64)),
-        ("wall_seconds", Json::num(r.report.wall_seconds)),
-        ("io_seconds", Json::num(r.report.io_seconds)),
-        ("sim_seconds", Json::num(r.report.sim_seconds)),
-        ("output_rows", Json::num(r.report.output.len() as f64)),
-        ("outputs_match", Json::Bool(r.report.outputs_match())),
-        ("bytes_read", Json::num(bytes_read as f64)),
-        ("bytes_written", Json::num(bytes_written as f64)),
-        ("pool_hits", Json::num(pool_hits as f64)),
-        ("pool_misses", Json::num(pool_misses as f64)),
-        ("direct_io", Json::Bool(r.report.direct_io)),
-    ])
 }
 
 /// One engine data-path throughput measurement: a plan template executed
@@ -99,25 +46,6 @@ pub struct EngineRow {
     /// `rows_in / seconds` — the data-path throughput the flat-batch
     /// representation is accountable for.
     pub rows_per_sec: f64,
-}
-
-fn engine_json(r: &EngineRow, before: Option<f64>) -> Json {
-    let mut pairs = vec![
-        ("template", Json::str(&r.template)),
-        ("backend", Json::str(&r.backend)),
-        ("rows_in", Json::num(r.rows_in as f64)),
-        ("rows_out", Json::num(r.rows_out as f64)),
-        ("seconds", Json::num(r.seconds)),
-        ("rows_per_sec", Json::num(r.rows_per_sec)),
-    ];
-    if let Some(b) = before {
-        pairs.push(("before_rows_per_sec", Json::num(b)));
-        pairs.push((
-            "speedup",
-            Json::num(r.rows_per_sec / b.max(f64::MIN_POSITIVE)),
-        ));
-    }
-    Json::obj(pairs)
 }
 
 /// The engine throughput workloads: every plan template, faithful mode,
@@ -301,7 +229,7 @@ fn obs_reduce(name: &str, trace: &ocas_obs::Trace) -> ObsRow {
 /// * `sim:set-union` — a full synthesize + execute pass on the simulator.
 ///   Search-level spans, per-rule counters and device/CPU attribution
 ///   spans are all on the deterministic clock, so `bench_json --check`
-///   gates the counters *and* the simulated span seconds exactly.
+///   gates the counters exactly (span seconds get the timing tolerance).
 /// * `real:grace-join` — the GRACE-join engine workload on the
 ///   [`FileBackend`]. Pool counters (hits/misses/evictions/write-backs)
 ///   and the event count are deterministic; wall span seconds are not.
@@ -336,22 +264,6 @@ pub fn obs_rows() -> Result<Vec<ObsRow>, String> {
     out.push(obs_reduce("real:grace-join", &trace));
 
     Ok(out)
-}
-
-fn obs_json(r: &ObsRow) -> Json {
-    let counters = Json::Obj(
-        r.counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::num(*v)))
-            .collect(),
-    );
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("events", Json::num(r.events as f64)),
-        ("sim_span_seconds", Json::num(r.sim_span_seconds)),
-        ("wall_span_seconds", Json::num(r.wall_span_seconds)),
-        ("counters", counters),
-    ])
 }
 
 /// Checks that `doc` is a Chrome trace-event document Perfetto will load:
@@ -404,24 +316,6 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
 /// committed baseline scale.
 pub fn faithful_scale_rows() -> Result<Vec<FaithfulScaleReport>, ocas::experiments::ExpError> {
     ocas::experiments::faithful_scale(1)
-}
-
-fn faithful_json(r: &FaithfulScaleReport) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("relation_bytes", Json::num(r.relation_bytes as f64)),
-        ("ram_bytes", Json::num(r.ram_bytes as f64)),
-        ("output_rows", Json::num(r.output_rows as f64)),
-        // The digest is a full u64: stored as hex text because JSON
-        // numbers (f64) cannot carry 64 bits exactly.
-        ("digest", Json::str(format!("{:016x}", r.output_digest))),
-        ("outputs_match", Json::Bool(r.outputs_match)),
-        ("peak_bounded", Json::Bool(r.peak_bounded())),
-        ("sim_peak_resident", Json::num(r.sim_peak_resident as f64)),
-        ("real_peak_resident", Json::num(r.real_peak_resident as f64)),
-        ("sim_seconds", Json::num(r.sim_seconds)),
-        ("wall_seconds", Json::num(r.wall_seconds)),
-    ])
 }
 
 /// One synthesis-search benchmark entry: the arena/parallel engine vs the
@@ -520,56 +414,407 @@ pub fn synthesis_stats() -> Vec<SynthesisRow> {
     out
 }
 
-fn synthesis_json(r: &SynthesisRow) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(&r.name)),
-        ("explored", Json::num(r.explored as f64)),
-        ("generated", Json::num(r.generated as f64)),
-        ("rejected_type", Json::num(r.rejected_type as f64)),
-        ("rejected_semantics", Json::num(r.rejected_semantics as f64)),
-        ("depth_reached", Json::num(r.depth_reached as f64)),
-        ("arena_nodes", Json::num(r.arena_nodes as f64)),
-        ("seconds", Json::num(r.seconds)),
-        ("reference_seconds", Json::num(r.reference_seconds)),
-        ("speedup", Json::num(r.speedup)),
-        ("programs_per_sec", Json::num(r.programs_per_sec)),
-    ])
+/// How `bench_json --check` treats a field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Matches an entry to its baseline entry.
+    Key,
+    /// Unequal on the two sides: another workload, so the entry is skipped.
+    Same,
+    /// Deterministic: equal JSON values.
+    Exact,
+    /// Deterministic up to libm's last bits: relative drift at most 1e-9.
+    Close,
+    /// A clock: at most `tolerance ×` the baseline.
+    Timing,
+    /// A throughput: at least the baseline `/ tolerance`.
+    Rate,
+    /// A same-machine ratio: at least the baseline `/ SYNTH_SPEEDUP_TOLERANCE`.
+    Floor,
+    /// A claim on every entry, baseline or not: flags `true`, counts `0`.
+    Must,
+    /// Emitted and type-checked, never gated.
+    Info,
 }
+use Class::*;
+
+/// Reads one field off a measured value; the variant is the field's JSON
+/// type.
+enum Get<T> {
+    Num(fn(&T) -> f64),
+    /// A number, emitted only when there is one.
+    Opt(fn(&T) -> Option<f64>),
+    Str(fn(&T) -> String),
+    Bool(fn(&T) -> bool),
+    /// An object of numbers.
+    Map(fn(&T) -> Json),
+    Arr(fn(&T) -> Json),
+}
+use Get::*;
+
+impl<T> Get<T> {
+    fn emit(&self, v: &T) -> Option<Json> {
+        Some(match self {
+            Num(g) => Json::num(g(v)),
+            Opt(g) => Json::num(g(v)?),
+            Str(g) => Json::Str(g(v)),
+            Bool(g) => Json::Bool(g(v)),
+            Map(g) | Arr(g) => g(v),
+        })
+    }
+
+    /// `key` of `entry`, if present with this field's type.
+    fn read<'a>(&self, entry: &'a Json, key: &str) -> Option<&'a Json> {
+        entry.get(key).filter(|v| match (self, v) {
+            (Map(_), Json::Obj(pairs)) => pairs.iter().all(|(_, n)| n.as_num().is_some()),
+            (Num(_) | Opt(_), Json::Num(_))
+            | (Str(_), Json::Str(_))
+            | (Bool(_), Json::Bool(_))
+            | (Arr(_), Json::Arr(_)) => true,
+            _ => false,
+        })
+    }
+}
+
+/// An array of entries, one object, or an object only the full run emits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    List,
+    Object,
+    Optional,
+}
+
+/// One document section: its key, its shape, and every field of its
+/// entries as `(key, class, getter)`, in emission order.
+struct Section<T: 'static> {
+    key: &'static str,
+    shape: Shape,
+    fields: &'static [(&'static str, Class, Get<T>)],
+}
+
+#[rustfmt::skip]
+const TABLE1: Section<Row> = Section { key: "table1", shape: Shape::List, fields: &[
+    ("name",         Key,   Str(|r| r.name.clone())),
+    ("spec_seconds", Close, Num(|r| r.spec_seconds)),
+    ("opt_seconds",  Close, Num(|r| r.opt_seconds)),
+    ("act_seconds",  Close, Num(|r| r.act_seconds)),
+    ("search_space", Exact, Num(|r| r.search_space as f64)),
+    ("steps",        Exact, Num(|r| r.steps as f64)),
+    // A single-sample search wall time: too noisy to gate.
+    ("ocas_seconds", Info,  Num(|r| r.ocas_seconds)),
+    ("best_program", Exact, Str(|r| r.best_program.clone())),
+]};
+
+#[rustfmt::skip]
+const FIGURE8: Section<Fig8Point> = Section { key: "figure8", shape: Shape::List, fields: &[
+    ("panel",             Key,   Str(|p| p.panel.to_string())),
+    ("label",             Key,   Str(|p| p.label.clone())),
+    ("estimated_seconds", Close, Num(|p| p.estimated)),
+    ("measured_seconds",  Close, Num(|p| p.measured)),
+]};
+
+#[rustfmt::skip]
+const FIGURES: Section<Hierarchy> = Section { key: "figures", shape: Shape::Object, fields: &[
+    ("paper_platform_devices", Exact, Arr(paper_platform_devices)),
+]};
 
 /// Figure 7 device constants (sizes and page sizes of the paper platform).
-fn figures_json() -> Json {
-    let h = presets::paper_platform(32 << 20);
-    let devices: Vec<Json> = h
-        .ids()
-        .map(|id| {
-            let n = h.node(id);
-            Json::obj(vec![
-                ("name", Json::str(&n.name)),
-                ("size_bytes", Json::num(n.size as f64)),
-                ("pagesize_bytes", Json::num(n.pagesize as f64)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![("paper_platform_devices", Json::Arr(devices))])
+fn paper_platform_devices(h: &Hierarchy) -> Json {
+    Json::Arr(
+        h.ids()
+            .map(|id| {
+                let n = h.node(id);
+                Json::obj(vec![
+                    ("name", Json::str(&n.name)),
+                    ("size_bytes", Json::num(n.size as f64)),
+                    ("pagesize_bytes", Json::num(n.pagesize as f64)),
+                ])
+            })
+            .collect(),
+    )
 }
 
-/// Looks up a prior document's `engine` entry for `(template, backend)`
-/// and returns the before-number of the trajectory pair: the prior
-/// entry's own `before_rows_per_sec` when it carries one (so the
-/// trajectory stays anchored at the original baseline instead of
-/// ratcheting forward on every regeneration), else its `rows_per_sec`.
-fn engine_before(doc: &Json, template: &str, backend: &str) -> Option<f64> {
-    doc.get("engine")?.as_arr()?.iter().find_map(|e| {
-        let t = e.get("template")?.as_str()?;
-        let b = e.get("backend")?.as_str()?;
-        if t == template && b == backend {
-            e.get("before_rows_per_sec")
-                .and_then(Json::as_num)
-                .or_else(|| e.get("rows_per_sec").and_then(Json::as_num))
-        } else {
-            None
+#[rustfmt::skip]
+const CACHE_MISSES: Section<(u64, u64)> = Section { key: "cache_misses", shape: Shape::Optional, fields: &[
+    ("untiled", Exact, Num(|c| c.0 as f64)),
+    ("tiled",   Exact, Num(|c| c.1 as f64)),
+]};
+
+/// An engine entry with the before-number of its trajectory pair.
+type EngineEntry = (EngineRow, Option<f64>);
+
+#[rustfmt::skip]
+const ENGINE: Section<EngineEntry> = Section { key: "engine", shape: Shape::List, fields: &[
+    ("template",            Key,  Str(|(r, _)| r.template.clone())),
+    ("backend",             Key,  Str(|(r, _)| r.backend.clone())),
+    ("rows_in",             Same, Num(|(r, _)| r.rows_in as f64)),
+    ("rows_out",            Info, Num(|(r, _)| r.rows_out as f64)),
+    ("seconds",             Info, Num(|(r, _)| r.seconds)),
+    ("rows_per_sec",        Rate, Num(|(r, _)| r.rows_per_sec)),
+    ("before_rows_per_sec", Info, Opt(|(_, b)| *b)),
+    ("speedup",             Info, Opt(|(r, b)| b.map(|b| r.rows_per_sec / b.max(f64::MIN_POSITIVE)))),
+]};
+
+#[rustfmt::skip]
+const SYNTHESIS: Section<SynthesisRow> = Section { key: "synthesis", shape: Shape::List, fields: &[
+    ("name",               Key,    Str(|r| r.name.clone())),
+    ("explored",           Exact,  Num(|r| r.explored as f64)),
+    ("generated",          Exact,  Num(|r| r.generated as f64)),
+    ("rejected_type",      Exact,  Num(|r| r.rejected_type as f64)),
+    ("rejected_semantics", Exact,  Num(|r| r.rejected_semantics as f64)),
+    ("depth_reached",      Exact,  Num(|r| r.depth_reached as f64)),
+    ("arena_nodes",        Info,   Num(|r| r.arena_nodes as f64)),
+    ("seconds",            Timing, Num(|r| r.seconds)),
+    ("reference_seconds",  Info,   Num(|r| r.reference_seconds)),
+    ("speedup",            Floor,  Num(|r| r.speedup)),
+    ("programs_per_sec",   Info,   Num(|r| r.programs_per_sec)),
+]};
+
+#[rustfmt::skip]
+const FAITHFUL_SCALE: Section<FaithfulScaleReport> = Section { key: "faithful_scale", shape: Shape::List, fields: &[
+    ("name",               Key,    Str(|r| r.name.clone())),
+    ("relation_bytes",     Exact,  Num(|r| r.relation_bytes as f64)),
+    ("ram_bytes",          Exact,  Num(|r| r.ram_bytes as f64)),
+    ("output_rows",        Exact,  Num(|r| r.output_rows as f64)),
+    // The only output witness at this scale. A full u64, so hex text:
+    // JSON numbers (f64) cannot carry 64 bits exactly.
+    ("digest",             Exact,  Str(|r| format!("{:016x}", r.output_digest))),
+    ("outputs_match",      Must,   Bool(|r| r.outputs_match)),
+    ("peak_bounded",       Must,   Bool(|r| r.peak_bounded())),
+    ("sim_peak_resident",  Info,   Num(|r| r.sim_peak_resident as f64)),
+    ("real_peak_resident", Info,   Num(|r| r.real_peak_resident as f64)),
+    ("sim_seconds",        Info,   Num(|r| r.sim_seconds)),
+    ("wall_seconds",       Timing, Num(|r| r.wall_seconds)),
+]};
+
+#[rustfmt::skip]
+const OBS: Section<ObsRow> = Section { key: "obs", shape: Shape::List, fields: &[
+    ("name",              Key,    Str(|r| r.name.clone())),
+    ("events",            Exact,  Num(|r| r.events as f64)),
+    // Even simulated span totals move whenever the cost model or a
+    // workload constant is tuned, so both clocks get the tolerance.
+    ("sim_span_seconds",  Timing, Num(|r| r.sim_span_seconds)),
+    ("wall_span_seconds", Timing, Num(|r| r.wall_span_seconds)),
+    ("counters",          Exact,  Map(|r| Json::Obj(r.counters.iter().map(|(k, v)| (k.clone(), Json::num(*v))).collect()))),
+]};
+
+#[rustfmt::skip]
+const CHAOS: Section<ChaosRow> = Section { key: "chaos", shape: Shape::List, fields: &[
+    ("workload",               Key,   Str(|r| r.workload.clone())),
+    ("chaos_seed",             Same,  Num(|r| r.chaos_seed as f64)),
+    ("runs",                   Exact, Num(|r| r.summary.runs as f64)),
+    ("identical",              Exact, Num(|r| r.summary.identical as f64)),
+    ("typed_errors",           Exact, Num(|r| r.summary.typed_errors as f64)),
+    ("wrong_answers",          Must,  Num(|r| r.summary.wrong_answers as f64)),
+    ("leaked_dirs",            Must,  Num(|r| r.summary.leaked_dirs as f64)),
+    ("pinned_pages",           Must,  Num(|r| r.summary.pinned_pages as f64)),
+    ("faults_injected",        Exact, Num(|r| r.summary.counters.faults_injected as f64)),
+    ("retries",                Exact, Num(|r| r.summary.counters.retries as f64)),
+    ("retry_successes",        Exact, Num(|r| r.summary.counters.retry_successes as f64)),
+    ("gave_up",                Exact, Num(|r| r.summary.counters.gave_up as f64)),
+    ("degraded_shrinks",       Exact, Num(|r| r.summary.counters.degraded_shrinks as f64)),
+    ("degraded_failovers",     Exact, Num(|r| r.summary.counters.degraded_failovers as f64)),
+    ("corrupt_pages_detected", Exact, Num(|r| r.summary.counters.corrupt_pages_detected as f64)),
+]};
+
+#[rustfmt::skip]
+const REAL: Section<RealRow> = Section { key: "real", shape: Shape::List, fields: &[
+    ("name",          Key,    Str(|r| r.name.clone())),
+    ("scale",         Same,   Num(|r| r.scale as f64)),
+    ("wall_seconds",  Timing, Num(|r| r.report.wall_seconds)),
+    ("io_seconds",    Info,   Num(|r| r.report.io_seconds)),
+    ("sim_seconds",   Info,   Num(|r| r.report.sim_seconds)),
+    ("output_rows",   Exact,  Num(|r| r.report.output.len() as f64)),
+    ("outputs_match", Must,   Bool(|r| r.report.outputs_match())),
+    ("bytes_read",    Exact,  Num(|r| total(&r.report.real_devices, |s| s.bytes_read))),
+    ("bytes_written", Exact,  Num(|r| total(&r.report.real_devices, |s| s.bytes_written))),
+    ("pool_hits",     Info,   Num(|r| total(&r.report.pools, |p| p.hits))),
+    ("pool_misses",   Info,   Num(|r| total(&r.report.pools, |p| p.misses))),
+    ("direct_io",     Info,   Bool(|r| r.report.direct_io)),
+]};
+
+/// Sums one statistic over a real-I/O report's devices or pools.
+fn total<S>(per: &[(String, S)], stat: fn(&S) -> u64) -> f64 {
+    per.iter().map(|(_, s)| stat(s)).sum::<u64>() as f64
+}
+
+/// Every section, in document order.
+const SECTIONS: [&dyn Walk; 10] = [
+    &TABLE1,
+    &FIGURE8,
+    &FIGURES,
+    &CACHE_MISSES,
+    &ENGINE,
+    &SYNTHESIS,
+    &FAITHFUL_SCALE,
+    &OBS,
+    &CHAOS,
+    &REAL,
+];
+
+impl<T: 'static> Section<T> {
+    fn object(&self, v: &T) -> (&'static str, Json) {
+        let pairs = self.fields.iter();
+        let pairs = pairs.filter_map(|(k, _, get)| Some((k.to_string(), get.emit(v)?)));
+        (self.key, Json::Obj(pairs.collect()))
+    }
+
+    fn list(&self, rows: &[T]) -> (&'static str, Json) {
+        let entries = rows.iter().map(|r| self.object(r).1);
+        (self.key, Json::Arr(entries.collect()))
+    }
+
+    /// The section's entries in `doc` (an object section is one entry).
+    fn entries<'a>(&self, doc: &'a Json) -> Vec<&'a Json> {
+        match (self.shape, doc.get(self.key)) {
+            (Shape::List, Some(Json::Arr(items))) => items.iter().collect(),
+            (Shape::Object | Shape::Optional, Some(obj @ Json::Obj(_))) => vec![obj],
+            _ => Vec::new(),
         }
-    })
+    }
+
+    /// The entry of `doc` whose key values are `entry`'s.
+    fn find<'a>(&self, doc: &'a Json, entry: &Json) -> Option<&'a Json> {
+        let same_keys = |b: &&Json| self.with(Key).all(|(k, ..)| b.get(k) == entry.get(k));
+        self.entries(doc).into_iter().find(same_keys)
+    }
+
+    fn with(&self, class: Class) -> impl Iterator<Item = &(&'static str, Class, Get<T>)> {
+        self.fields.iter().filter(move |f| f.1 == class)
+    }
+
+    /// Names `entry` in messages: the section and its key values.
+    fn label(&self, entry: &Json) -> String {
+        let keys = self
+            .with(Key)
+            .map(|(k, ..)| entry.get(k).and_then(Json::as_str));
+        let keys: Vec<&str> = keys.map(|v| v.unwrap_or("?")).collect();
+        match keys.is_empty() {
+            true => self.key.to_string(),
+            false => format!("{} `{}`", self.key, keys.join("/")),
+        }
+    }
+}
+
+/// A [`Section`] with its row type erased, so that one loop walks every
+/// section.
+trait Walk {
+    fn keys(&self) -> (&'static str, Vec<&'static str>);
+    fn validate(&self, doc: &Json) -> Result<(), String>;
+    fn check(&self, doc: &Json, baseline: &Json, tol: f64, failures: &mut Vec<String>) -> usize;
+    fn summary(&self, doc: &Json) -> Vec<String>;
+}
+
+impl<T: 'static> Walk for Section<T> {
+    fn keys(&self) -> (&'static str, Vec<&'static str>) {
+        (self.key, self.fields.iter().map(|f| f.0).collect())
+    }
+
+    fn validate(&self, doc: &Json) -> Result<(), String> {
+        let list = self.shape == Shape::List;
+        match (doc.get(self.key), self.shape) {
+            (Some(Json::Arr(_)), Shape::List) | (None, Shape::Optional) => {}
+            (Some(Json::Obj(_)), Shape::Object | Shape::Optional) => {}
+            _ if list => return Err(format!("missing array `{}`", self.key)),
+            _ => return Err(format!("missing object `{}`", self.key)),
+        }
+        for (i, entry) in self.entries(doc).into_iter().enumerate() {
+            let at = match list {
+                true => format!("{}[{i}]", self.key),
+                false => self.key.to_string(),
+            };
+            for (k, _, get) in self.fields {
+                match (entry.get(k), get.read(entry, k)) {
+                    (None, _) if matches!(get, Opt(_)) => {}
+                    (None, _) => return Err(format!("{at} missing `{k}`")),
+                    (Some(_), None) => return Err(format!("{at}.{k} has the wrong type")),
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn check(&self, doc: &Json, baseline: &Json, tol: f64, failures: &mut Vec<String>) -> usize {
+        let mut compared = 0;
+        for entry in self.entries(doc) {
+            let at = self.label(entry);
+            let mut fail = |msg: String| failures.push(format!("{at}: {msg}"));
+            for (k, _, get) in self.with(Must) {
+                let want = match get {
+                    Bool(_) => Json::Bool(true),
+                    _ => Json::Num(0.0),
+                };
+                if entry.get(k) != Some(&want) {
+                    let (got, want) = (show(entry.get(k)), show(Some(&want)));
+                    fail(format!("{k} is {got}, must be {want}"));
+                }
+            }
+            let Some(base) = self.find(baseline, entry) else {
+                continue;
+            };
+            // A gated field must be present and well-typed on both sides:
+            // a missing one would otherwise pass vacuously.
+            let mut pairs = Vec::new();
+            for (k, class, get) in self.fields {
+                match (get.read(entry, k), get.read(base, k)) {
+                    _ if matches!(class, Key | Must | Info) => {}
+                    (Some(got), Some(want)) => pairs.push((k, *class, got, want)),
+                    (None, _) => fail(format!("no valid {k} in this run")),
+                    (_, None) => fail(format!("no valid {k} in the baseline")),
+                }
+            }
+            if pairs.iter().any(|&(_, c, g, w)| c == Same && g != w) {
+                continue;
+            }
+            compared += usize::from(self.shape == Shape::List);
+            for (k, class, got, want) in pairs {
+                let (g, w) = (got.as_num().unwrap_or(0.0), want.as_num().unwrap_or(0.0));
+                let pass = match class {
+                    Exact | Same => got == want,
+                    Close => (g - w).abs() <= 1e-9 * g.abs().max(w.abs()),
+                    Timing => g <= tol * w.max(f64::MIN_POSITIVE),
+                    Rate => g * tol >= w,
+                    Floor => g * SYNTH_SPEEDUP_TOLERANCE >= w,
+                    Key | Must | Info => true,
+                };
+                if !pass {
+                    let (got, want) = (show(Some(got)), show(Some(want)));
+                    fail(format!(
+                        "{k} {got} vs baseline {want} fails the {class:?} gate"
+                    ));
+                }
+            }
+        }
+        compared
+    }
+
+    fn summary(&self, doc: &Json) -> Vec<String> {
+        let line = |e: &Json| {
+            let values = self.fields.iter().filter(|f| f.1 != Key);
+            let values = values.filter_map(|(k, ..)| match e.get(k)? {
+                Json::Num(n) if n.fract() == 0.0 => Some(format!("{k}={n}")),
+                Json::Num(n) if n.abs() >= 100.0 => Some(format!("{k}={n:.0}")),
+                Json::Num(n) => Some(format!("{k}={n:.4}")),
+                Json::Bool(b) => Some(format!("{k}={b}")),
+                _ => None,
+            });
+            let values: Vec<String> = values.collect();
+            (!values.is_empty()).then(|| format!("{}: {}", self.label(e), values.join(" ")))
+        };
+        self.entries(doc).into_iter().filter_map(line).collect()
+    }
+}
+
+/// Renders a field value for a message.
+fn show(v: Option<&Json>) -> String {
+    match v {
+        None => "missing".to_string(),
+        Some(Json::Num(n)) => n.to_string(),
+        Some(Json::Bool(b)) => b.to_string(),
+        Some(Json::Str(s)) => format!("{s:?}"),
+        Some(other) => format!("{other:?}"),
+    }
 }
 
 /// Assembles the full document. `engine_baseline` is an earlier document
@@ -588,52 +833,54 @@ pub fn bench_doc(
     chaos: &[ChaosRow],
     engine_baseline: Option<&Json>,
 ) -> Json {
-    let engine_entries: Vec<Json> = engine
+    // The before-number is the prior entry's own before-number when it has
+    // one, so the trajectory stays anchored at the original baseline
+    // instead of ratcheting forward on every regeneration.
+    let engine: Vec<EngineEntry> = engine
         .iter()
         .map(|r| {
-            let before = engine_baseline.and_then(|d| engine_before(d, &r.template, &r.backend));
-            engine_json(r, before)
+            let key = ENGINE.object(&(r.clone(), None)).1;
+            let prior = engine_baseline.and_then(|d| ENGINE.find(d, &key));
+            let num = |p: &Json, k| p.get(k).and_then(Json::as_num);
+            let before =
+                prior.and_then(|p| num(p, "before_rows_per_sec").or(num(p, "rows_per_sec")));
+            (r.clone(), before)
         })
         .collect();
     let mut pairs = vec![
         ("schema", Json::str(SCHEMA)),
-        ("table1", Json::Arr(table1.iter().map(row_json).collect())),
-        (
-            "figure8",
-            Json::Arr(figure8.iter().map(fig8_json).collect()),
-        ),
-        ("figures", figures_json()),
-        ("engine", Json::Arr(engine_entries)),
-        (
-            "synthesis",
-            Json::Arr(synthesis.iter().map(synthesis_json).collect()),
-        ),
-        (
-            "faithful_scale",
-            Json::Arr(faithful.iter().map(faithful_json).collect()),
-        ),
-        ("obs", Json::Arr(obs.iter().map(obs_json).collect())),
-        ("chaos", Json::Arr(chaos.iter().map(chaos_json).collect())),
-        ("real", Json::Arr(real.iter().map(real_json).collect())),
+        TABLE1.list(table1),
+        FIGURE8.list(figure8),
+        FIGURES.object(&presets::paper_platform(32 << 20)),
     ];
-    if let Some((untiled, tiled)) = cache_misses {
-        pairs.insert(
-            4,
-            (
-                "cache_misses",
-                Json::obj(vec![
-                    ("untiled", Json::num(untiled as f64)),
-                    ("tiled", Json::num(tiled as f64)),
-                ]),
-            ),
-        );
-    }
+    pairs.extend(cache_misses.map(|c| CACHE_MISSES.object(&c)));
+    pairs.extend([
+        ENGINE.list(&engine),
+        SYNTHESIS.list(synthesis),
+        FAITHFUL_SCALE.list(faithful),
+        OBS.list(obs),
+        CHAOS.list(chaos),
+        REAL.list(real),
+    ]);
     Json::obj(pairs)
 }
 
-/// Checks a document against the `ocas-bench/v3` schema. Sections may be
-/// empty arrays (a partial regeneration) but must be present and
-/// well-typed; every `real` entry must carry both clocks.
+/// Every section's key with its fields' keys, in document order.
+pub fn schema_keys() -> Vec<(&'static str, Vec<&'static str>)> {
+    SECTIONS.iter().map(|s| s.keys()).collect()
+}
+
+/// One line per entry of `doc`: its key values, then its numbers and
+/// flags.
+pub fn summary(doc: &Json) -> Vec<String> {
+    SECTIONS.iter().flat_map(|s| s.summary(doc)).collect()
+}
+
+/// Checks a document against the `ocas-bench/v5` schema ([`SCHEMA`]):
+/// every section is present (`cache_misses` may be absent), and every
+/// entry carries every declared field with its declared JSON type (an
+/// `engine` entry may lack its trajectory pair). Sections may be empty
+/// arrays (a partial regeneration).
 pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     let schema = doc
         .get("schema")
@@ -642,149 +889,15 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
     if schema != SCHEMA {
         return Err(format!("schema `{schema}` is not `{SCHEMA}`"));
     }
-    let sections: [(&str, &[&str]); 8] = [
-        (
-            "obs",
-            &["name", "events", "sim_span_seconds", "wall_span_seconds"],
-        ),
-        (
-            "chaos",
-            &[
-                "workload",
-                "chaos_seed",
-                "runs",
-                "identical",
-                "typed_errors",
-                "wrong_answers",
-                "leaked_dirs",
-                "pinned_pages",
-                "faults_injected",
-                "retries",
-            ],
-        ),
-        (
-            "table1",
-            &[
-                "name",
-                "spec_seconds",
-                "opt_seconds",
-                "act_seconds",
-                "search_space",
-            ],
-        ),
-        (
-            "figure8",
-            &["panel", "label", "estimated_seconds", "measured_seconds"],
-        ),
-        (
-            "engine",
-            &[
-                "template",
-                "backend",
-                "rows_in",
-                "rows_out",
-                "seconds",
-                "rows_per_sec",
-            ],
-        ),
-        (
-            "synthesis",
-            &[
-                "name",
-                "explored",
-                "generated",
-                "rejected_type",
-                "rejected_semantics",
-                "depth_reached",
-                "seconds",
-                "reference_seconds",
-                "speedup",
-            ],
-        ),
-        (
-            "faithful_scale",
-            &[
-                "name",
-                "relation_bytes",
-                "ram_bytes",
-                "output_rows",
-                "digest",
-                "outputs_match",
-                "peak_bounded",
-                "sim_peak_resident",
-                "real_peak_resident",
-                "wall_seconds",
-            ],
-        ),
-        (
-            "real",
-            &[
-                "name",
-                "wall_seconds",
-                "io_seconds",
-                "sim_seconds",
-                "output_rows",
-                "outputs_match",
-                "bytes_read",
-                "bytes_written",
-            ],
-        ),
-    ];
-    for (section, fields) in sections {
-        let arr = doc
-            .get(section)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("missing array `{section}`"))?;
-        for (i, entry) in arr.iter().enumerate() {
-            for field in fields {
-                let v = entry
-                    .get(field)
-                    .ok_or_else(|| format!("{section}[{i}] missing `{field}`"))?;
-                let ok = match *field {
-                    "name" | "panel" | "label" | "best_program" | "template" | "backend"
-                    | "digest" | "workload" => v.as_str().is_some(),
-                    "outputs_match" | "peak_bounded" => matches!(v, Json::Bool(_)),
-                    _ => v.as_num().is_some(),
-                };
-                if !ok {
-                    return Err(format!("{section}[{i}].{field} has the wrong type"));
-                }
-            }
-        }
-    }
-    if let Some(arr) = doc.get("obs").and_then(Json::as_arr) {
-        for (i, entry) in arr.iter().enumerate() {
-            let counters = entry
-                .get("counters")
-                .ok_or_else(|| format!("obs[{i}] missing `counters`"))?;
-            let Json::Obj(pairs) = counters else {
-                return Err(format!("obs[{i}].counters is not an object"));
-            };
-            for (k, v) in pairs {
-                if v.as_num().is_none() {
-                    return Err(format!("obs[{i}].counters.{k} is not a number"));
-                }
-            }
-        }
-    }
-    doc.get("figures")
-        .and_then(|f| f.get("paper_platform_devices"))
-        .and_then(Json::as_arr)
-        .ok_or("missing `figures.paper_platform_devices`")?;
-    Ok(())
+    SECTIONS.iter().try_for_each(|s| s.validate(doc))
 }
 
-/// Compares a freshly generated document against a committed baseline.
-///
-/// Determinism invariants (same seeds, same plans) are exact: `real`
-/// entries matched by name must agree on `output_rows`, `bytes_read` and
-/// `bytes_written`, and must have `outputs_match = true`. Timing is
-/// machine-dependent, so `wall_seconds` may only regress by `tolerance`×
-/// over the baseline, and `engine` throughput (matched by template +
-/// backend) may only drop to `1/tolerance` of the baseline. Entries present
-/// on one side only are skipped (workloads evolve across trajectory
-/// points). Returns the number of entries compared, or the list of
-/// violations.
+/// Compares a freshly generated document against a committed baseline,
+/// each field by its class (see `Class`), and fails a gated field that
+/// is missing or mistyped on either side. Entries without a baseline entry
+/// only have their `Must` claims checked. Returns the number of array
+/// entries compared (the `figures` and `cache_misses` objects are gated
+/// but not counted), or the list of violations.
 pub fn check_regressions(
     doc: &Json,
     baseline: &Json,
@@ -792,286 +905,10 @@ pub fn check_regressions(
 ) -> Result<usize, Vec<String>> {
     let tol = tolerance.max(1.0);
     let mut failures = Vec::new();
-    let mut compared = 0usize;
-
-    let arr = |d: &Json, key: &str| -> Vec<Json> {
-        d.get(key)
-            .and_then(Json::as_arr)
-            .map(|a| a.to_vec())
-            .unwrap_or_default()
-    };
-
-    for entry in arr(doc, "real") {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "real")
-            .into_iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        // A run at a different cardinality scale than the baseline is a
-        // different workload — its row counts, byte totals and wall clock
-        // are all legitimately different (the nightly runs scaled; the
-        // committed baseline is scale 1). Only same-scale entries compare.
-        let scale_of = |e: &Json| e.get("scale").and_then(Json::as_num).unwrap_or(1.0);
-        if scale_of(&entry) != scale_of(&base) {
-            continue;
-        }
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        for field in ["output_rows", "bytes_read", "bytes_written"] {
-            let (got, want) = (num(&entry, field), num(&base, field));
-            if got != want {
-                failures.push(format!("real `{name}`: {field} {got} != baseline {want}"));
-            }
-        }
-        if entry.get("outputs_match") != Some(&Json::Bool(true)) {
-            failures.push(format!("real `{name}`: outputs_match is not true"));
-        }
-        let (wall, base_wall) = (num(&entry, "wall_seconds"), num(&base, "wall_seconds"));
-        if wall > tol * base_wall {
-            failures.push(format!(
-                "real `{name}`: wall_seconds {wall:.4} > {tol}x baseline {base_wall:.4}"
-            ));
-        }
-    }
-
-    for entry in arr(doc, "faithful_scale") {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "faithful_scale")
-            .into_iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        // Same seeds, same plans: sizes, rows and the emission digest are
-        // deterministic — compare exactly. The digest is the *only*
-        // output witness at this scale (collection is off), so drift here
-        // means the streamed generator or an operator changed data.
-        for field in ["relation_bytes", "ram_bytes", "output_rows"] {
-            let (got, want) = (num(&entry, field), num(&base, field));
-            if got != want {
-                failures.push(format!(
-                    "faithful_scale `{name}`: {field} {got} != baseline {want}"
-                ));
-            }
-        }
-        let digest = |e: &Json| e.get("digest").and_then(Json::as_str).map(str::to_string);
-        if digest(&entry) != digest(&base) {
-            failures.push(format!(
-                "faithful_scale `{name}`: digest {:?} != baseline {:?}",
-                digest(&entry),
-                digest(&base)
-            ));
-        }
-        // The twins must agree and the peaks must stay below the RAM
-        // device — these are the claims, not measurements.
-        for flag in ["outputs_match", "peak_bounded"] {
-            if entry.get(flag) != Some(&Json::Bool(true)) {
-                failures.push(format!("faithful_scale `{name}`: {flag} is not true"));
-            }
-        }
-        let (wall, base_wall) = (num(&entry, "wall_seconds"), num(&base, "wall_seconds"));
-        if wall > tol * base_wall {
-            failures.push(format!(
-                "faithful_scale `{name}`: wall_seconds {wall:.4} > {tol}x baseline {base_wall:.4}"
-            ));
-        }
-    }
-
-    for entry in arr(doc, "synthesis") {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "synthesis")
-            .into_iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        // The explored space is deterministic by the engine contract:
-        // compare exactly. Any drift here means the search changed (or the
-        // parallel merge broke) and must be an explicit baseline update.
-        for field in [
-            "explored",
-            "generated",
-            "rejected_type",
-            "rejected_semantics",
-            "depth_reached",
-        ] {
-            let (got, want) = (num(&entry, field), num(&base, field));
-            if got != want {
-                failures.push(format!(
-                    "synthesis `{name}`: {field} {got} != baseline {want}"
-                ));
-            }
-        }
-        let (secs, base_secs) = (num(&entry, "seconds"), num(&base, "seconds"));
-        if secs > tol * base_secs {
-            failures.push(format!(
-                "synthesis `{name}`: seconds {secs:.4} > {tol}x baseline {base_secs:.4}"
-            ));
-        }
-        // The committed speedup (arena engine vs legacy reference) may not
-        // collapse: both engines run back-to-back on the same machine, so
-        // the ratio gets a real floor (SYNTH_SPEEDUP_TOLERANCE), not the
-        // generous wall-clock tolerance.
-        let (speedup, base_speedup) = (num(&entry, "speedup"), num(&base, "speedup"));
-        if speedup * SYNTH_SPEEDUP_TOLERANCE < base_speedup {
-            failures.push(format!(
-                "synthesis `{name}`: speedup {speedup:.2}x < baseline {base_speedup:.2}x / {SYNTH_SPEEDUP_TOLERANCE}"
-            ));
-        }
-    }
-
-    for entry in arr(doc, "obs") {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "obs")
-            .into_iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        // Counters and event counts are deterministic by the recorder
-        // contract (same seeds, same plans, worker-count-invariant
-        // recording): compare the whole counter map exactly. Drift means
-        // the instrumentation or the workload changed and must be an
-        // explicit baseline update.
-        let (got, want) = (num(&entry, "events"), num(&base, "events"));
-        if got != want {
-            failures.push(format!("obs `{name}`: events {got} != baseline {want}"));
-        }
-        let counters = |e: &Json| -> Vec<(String, f64)> {
-            match e.get("counters") {
-                Some(Json::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.as_num().unwrap_or(f64::NAN)))
-                    .collect(),
-                _ => Vec::new(),
-            }
-        };
-        let (got_c, want_c) = (counters(&entry), counters(&base));
-        if got_c != want_c {
-            failures.push(format!(
-                "obs `{name}`: counters {got_c:?} != baseline {want_c:?}"
-            ));
-        }
-        // Span seconds carry timing: wall seconds are machine noise, and
-        // even simulated totals get the tolerance (they move legitimately
-        // whenever the cost model or a workload constant is tuned).
-        for field in ["sim_span_seconds", "wall_span_seconds"] {
-            let (secs, base_secs) = (num(&entry, field), num(&base, field));
-            if secs > tol * base_secs.max(f64::MIN_POSITIVE) {
-                failures.push(format!(
-                    "obs `{name}`: {field} {secs:.4} > {tol}x baseline {base_secs:.4}"
-                ));
-            }
-        }
-    }
-
-    for entry in arr(doc, "chaos") {
-        let name = entry
-            .get("workload")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        // Trichotomy violations fail regardless of any baseline: a wrong
-        // answer, a leaked temp dir or a pinned page under faults is a
-        // robustness bug, not a regression to tolerate.
-        for field in ["wrong_answers", "leaked_dirs", "pinned_pages"] {
-            let got = num(&entry, field);
-            if got != 0.0 {
-                failures.push(format!("chaos `{name}`: {field} {got} != 0"));
-            }
-        }
-        let Some(base) = arr(baseline, "chaos")
-            .into_iter()
-            .find(|b| b.get("workload").and_then(Json::as_str) == Some(&name))
-        else {
-            continue;
-        };
-        // A sweep at a different fault seed than the baseline is a
-        // different experiment — its outcome and counter totals are all
-        // legitimately different (the nightly runs randomized seeds; the
-        // committed baseline is the fixed default). Only same-seed sweeps
-        // compare, mirroring the real-I/O scale skip above.
-        if num(&entry, "chaos_seed") != num(&base, "chaos_seed") {
-            continue;
-        }
-        compared += 1;
-        // Same seed, same plans: every outcome and recovery counter is
-        // deterministic — compare exactly. Drift means fault injection,
-        // retry or degradation behavior changed and must be an explicit
-        // baseline update.
-        for field in [
-            "runs",
-            "identical",
-            "typed_errors",
-            "faults_injected",
-            "retries",
-            "retry_successes",
-            "gave_up",
-            "degraded_shrinks",
-            "degraded_failovers",
-            "corrupt_pages_detected",
-        ] {
-            let (got, want) = (num(&entry, field), num(&base, field));
-            if got != want {
-                failures.push(format!("chaos `{name}`: {field} {got} != baseline {want}"));
-            }
-        }
-    }
-
-    for entry in arr(doc, "engine") {
-        let template = entry
-            .get("template")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let backend = entry
-            .get("backend")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let Some(base) = arr(baseline, "engine").into_iter().find(|b| {
-            b.get("template").and_then(Json::as_str) == Some(&template)
-                && b.get("backend").and_then(Json::as_str) == Some(&backend)
-        }) else {
-            continue;
-        };
-        compared += 1;
-        let num = |e: &Json, f: &str| e.get(f).and_then(Json::as_num).unwrap_or(f64::NAN);
-        if num(&entry, "rows_in") == num(&base, "rows_in") {
-            let (rps, base_rps) = (num(&entry, "rows_per_sec"), num(&base, "rows_per_sec"));
-            if rps * tol < base_rps {
-                failures.push(format!(
-                    "engine `{template}/{backend}`: rows_per_sec {rps:.0} < baseline {base_rps:.0} / {tol}"
-                ));
-            }
-        }
-    }
-
+    let compared = SECTIONS
+        .iter()
+        .map(|s| s.check(doc, baseline, tol, &mut failures))
+        .sum();
     if failures.is_empty() {
         Ok(compared)
     } else {
@@ -1119,31 +956,6 @@ pub fn chaos_rows(chaos_seed: u64) -> Result<Vec<ChaosRow>, String> {
         });
     }
     Ok(out)
-}
-
-fn chaos_json(r: &ChaosRow) -> Json {
-    let s = &r.summary;
-    let c = &s.counters;
-    Json::obj(vec![
-        ("workload", Json::str(&r.workload)),
-        ("chaos_seed", Json::num(r.chaos_seed as f64)),
-        ("runs", Json::num(s.runs as f64)),
-        ("identical", Json::num(s.identical as f64)),
-        ("typed_errors", Json::num(s.typed_errors as f64)),
-        ("wrong_answers", Json::num(s.wrong_answers as f64)),
-        ("leaked_dirs", Json::num(s.leaked_dirs as f64)),
-        ("pinned_pages", Json::num(s.pinned_pages as f64)),
-        ("faults_injected", Json::num(c.faults_injected as f64)),
-        ("retries", Json::num(c.retries as f64)),
-        ("retry_successes", Json::num(c.retry_successes as f64)),
-        ("gave_up", Json::num(c.gave_up as f64)),
-        ("degraded_shrinks", Json::num(c.degraded_shrinks as f64)),
-        ("degraded_failovers", Json::num(c.degraded_failovers as f64)),
-        (
-            "corrupt_pages_detected",
-            Json::num(c.corrupt_pages_detected as f64),
-        ),
-    ])
 }
 
 /// The real-I/O workloads the trajectory tracks: a GRACE hash join and a

@@ -8,7 +8,7 @@
 use ocas_bench::json::Json;
 use ocas_bench::report::{
     bench_doc, check_regressions, engine_throughput, faithful_scale_rows, real_workloads,
-    synthesis_stats, validate_bench_doc, SCHEMA,
+    schema_keys, synthesis_stats, validate_bench_doc, SCHEMA,
 };
 
 #[test]
@@ -409,4 +409,142 @@ fn regression_checker_fails_chaos_trichotomy_violations_unconditionally() {
     .unwrap();
     let errs = check_regressions(&chaos_fixture(5, 3, 25, 11, 2), &empty, 25.0).unwrap_err();
     assert!(errs.iter().any(|e| e.contains("wrong_answers")), "{errs:?}");
+}
+
+fn committed() -> Json {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
+    Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+/// `doc` with `field` of each `section` entry (an object section is one
+/// entry) replaced by `f` of its value, or dropped where `f` gives `None`.
+fn edit(doc: &Json, section: &str, field: &str, f: &dyn Fn(&Json) -> Option<Json>) -> Json {
+    let mut doc = doc.clone();
+    let Json::Obj(sections) = &mut doc else {
+        unreachable!()
+    };
+    let entries = match &mut sections.iter_mut().find(|(k, _)| k == section).unwrap().1 {
+        Json::Arr(items) => items.iter_mut().collect(),
+        obj => vec![obj],
+    };
+    for entry in entries {
+        if let Json::Obj(fields) = entry {
+            let at = fields.iter().position(|(k, _)| k == field).unwrap();
+            match f(&fields[at].1) {
+                Some(v) => fields[at].1 = v,
+                None => drop(fields.remove(at)),
+            }
+        }
+    }
+    doc
+}
+
+fn by(factor: f64) -> impl Fn(&Json) -> Option<Json> {
+    move |v| Some(Json::num(v.as_num()? * factor))
+}
+
+/// Asserts that checking `doc` against `base` fails, naming `needle`.
+fn fails(doc: &Json, base: &Json, needle: &str) {
+    let errs = check_regressions(doc, base, 25.0).unwrap_err();
+    assert!(
+        errs.iter().any(|e| e.contains(needle)),
+        "{needle}: {errs:?}"
+    );
+}
+
+#[test]
+fn regression_checker_gates_table1_figure8_and_cache_misses() {
+    let base = committed();
+    let arrays = schema_keys()
+        .into_iter()
+        .filter_map(|(s, _)| base.get(s)?.as_arr());
+    let entries: usize = arrays.map(<[Json]>::len).sum();
+    assert!(entries >= 52, "{entries}");
+    assert_eq!(check_regressions(&base, &base, 25.0), Ok(entries));
+    let broken = |section, field, f: &dyn Fn(&Json) -> Option<Json>| {
+        fails(&edit(&base, section, field, f), &base, field);
+    };
+    let plus_one = |v: &Json| Some(Json::num(v.as_num()? + 1.0));
+    broken("table1", "opt_seconds", &by(1.0 + 1e-6));
+    broken("table1", "search_space", &plus_one);
+    broken("table1", "best_program", &|_| Some(Json::str("[]")));
+    broken("figure8", "measured_seconds", &by(1.0 + 1e-6));
+    broken("cache_misses", "tiled", &plus_one);
+    // Last-bit drift passes, and so does a 100x slower search:
+    // `ocas_seconds` is a single noisy sample and is not gated.
+    let mut drifted = edit(&base, "table1", "ocas_seconds", &by(100.0));
+    for (section, field) in [
+        ("table1", "spec_seconds"),
+        ("table1", "opt_seconds"),
+        ("table1", "act_seconds"),
+        ("figure8", "estimated_seconds"),
+        ("figure8", "measured_seconds"),
+    ] {
+        drifted = edit(&drifted, section, field, &by(1.0 + 1e-12));
+    }
+    assert_eq!(check_regressions(&drifted, &base, 25.0), Ok(entries));
+}
+
+#[test]
+fn regression_checker_fails_gated_fields_missing_from_either_side() {
+    // 1e9x slower, and a 1e4x smaller speedup: yet the check passed while
+    // the baseline lacked the fields.
+    let gone = |_: &Json| None;
+    let fresh = check_fixture(1e9, 4096.0, 1e6);
+    let base = check_fixture(0.1, 4096.0, 1e6);
+    let base = edit(&base, "real", "wall_seconds", &gone);
+    fails(&fresh, &base, "no valid wall_seconds in the baseline");
+    fails(&base, &fresh, "no valid wall_seconds in this run");
+    let fresh = synthesis_fixture(900, 1e9, 1e-4);
+    let base = synthesis_fixture(900, 0.1, 4.0);
+    let base = edit(&base, "synthesis", "seconds", &gone);
+    let base = edit(&base, "synthesis", "speedup", &gone);
+    fails(&fresh, &base, "no valid seconds in the baseline");
+    fails(&fresh, &base, "no valid speedup in the baseline");
+}
+
+#[test]
+fn bench_json_rejects_a_baseline_that_fails_the_schema() {
+    let dir = std::env::temp_dir().join(format!("ocas-bench-baseline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (baseline, out) = (dir.join("baseline.json"), dir.join("out.json"));
+    std::fs::write(&baseline, r#"{"schema": "ocas-bench/v4"}"#).unwrap();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_bench_json"))
+        .args(["--real-only", "--out", out.to_str().unwrap()])
+        .args(["--check", baseline.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let wrote = out.exists();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "{stderr}");
+    assert!(stderr.contains("is not `ocas-bench/v5`"), "{stderr}");
+    assert!(!wrote, "the run must stop before measuring anything");
+}
+
+#[test]
+fn committed_document_has_exactly_the_tables_keys_in_order() {
+    let (doc, tables) = (committed(), schema_keys());
+    let keys = |e: &Json| match e {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        _ => panic!("not an object: {e:?}"),
+    };
+    let sections = tables.iter().map(|(s, _)| *s);
+    assert_eq!(
+        keys(&doc),
+        ["schema"].into_iter().chain(sections).collect::<Vec<_>>()
+    );
+    for (section, want) in &tables {
+        // Only an engine entry's trailing trajectory pair is optional.
+        let optional = if *section == "engine" { 2 } else { 0 };
+        let (required, trailing) = want.split_at(want.len() - optional);
+        assert_eq!(trailing, &["before_rows_per_sec", "speedup"][..optional]);
+        let entries = match doc.get(section).unwrap() {
+            Json::Arr(items) => items.iter().collect(),
+            obj => vec![obj],
+        };
+        for got in entries.into_iter().map(keys) {
+            assert!(got == *want || got == required, "{section}: {got:?}");
+        }
+    }
 }
