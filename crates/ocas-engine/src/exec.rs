@@ -149,6 +149,11 @@ struct Sink {
     /// while preserving the head-movement behaviour of streaming writes.
     extent: Option<(ocas_storage::FileId, u64)>,
     cursor: u64,
+    /// True when whole-buffer flushes go out as one `write_run` per
+    /// stretch between extent wraps: simulated mode with the output on a
+    /// device no input of the operator lives on, so no other request can
+    /// reach that device between two flushes.
+    runs: bool,
 }
 
 /// Size of the pre-allocated output region (wrap-around window).
@@ -161,6 +166,7 @@ impl Sink {
         out_cols: usize,
         faithful: bool,
         collect: bool,
+        runs: bool,
     ) -> Sink {
         let want = tuple_bytes.max(1) as usize;
         let ncols = out_cols.max(1);
@@ -181,6 +187,7 @@ impl Sink {
             encoded: Vec::new(),
             extent: None,
             cursor: 0,
+            runs,
         }
     }
 
@@ -303,10 +310,41 @@ impl Sink {
         if let Output::ToDevice { buffer_bytes, .. } = &self.output {
             self.pending += n * self.tuple_bytes;
             let cap = (*buffer_bytes).max(self.tuple_bytes);
-            while self.pending >= cap {
-                self.flush_bytes(sm, cap)?;
-                self.pending -= cap;
+            if self.pending >= cap {
+                let full = self.pending / cap;
+                self.flush_buffers(sm, cap, full)?;
+                self.pending -= full * cap;
             }
+        }
+        Ok(())
+    }
+
+    /// Flushes `count` whole buffers of `cap` bytes. With [`Sink::runs`]
+    /// on, the buffers that fit before the extent wraps go out as one
+    /// `write_run`; a buffer straddling the wrap is split as a single
+    /// flush splits it.
+    fn flush_buffers<B: StorageBackend>(
+        &mut self,
+        sm: &mut B,
+        cap: u64,
+        mut count: u64,
+    ) -> Result<(), ExecError> {
+        while count > 0 {
+            if let (true, Output::ToDevice { device, .. }) = (self.runs, &self.output) {
+                let (file, len) = sink_extent(sm, &mut self.extent, device)?;
+                if self.cursor >= len {
+                    self.cursor = 0;
+                }
+                let fit = ((len - self.cursor) / cap).min(count);
+                if fit > 0 {
+                    sm.write_run(file, self.cursor, cap, fit)?;
+                    self.cursor += fit * cap;
+                    count -= fit;
+                    continue;
+                }
+            }
+            self.flush_bytes(sm, cap)?;
+            count -= 1;
         }
         Ok(())
     }
@@ -316,15 +354,7 @@ impl Sink {
             return Ok(());
         }
         if let Output::ToDevice { device, .. } = &self.output {
-            let (file, len) = match self.extent {
-                Some(e) => e,
-                None => {
-                    let len = SINK_EXTENT;
-                    let f = sm.alloc(device, len)?;
-                    self.extent = Some((f, len));
-                    (f, len)
-                }
-            };
+            let (file, len) = sink_extent(sm, &mut self.extent, device)?;
             let mut remaining = bytes;
             let mut drained = 0usize;
             while remaining > 0 {
@@ -357,6 +387,20 @@ impl Sink {
         let digest = self.faithful.then_some(self.digest);
         Ok((self.rows, self.collected, digest))
     }
+}
+
+/// The sink's output extent on `device`, allocated on first use.
+fn sink_extent<B: StorageBackend>(
+    sm: &mut B,
+    extent: &mut Option<(ocas_storage::FileId, u64)>,
+    device: &str,
+) -> Result<(ocas_storage::FileId, u64), ExecError> {
+    if let Some(e) = *extent {
+        return Ok(e);
+    }
+    let f = sm.alloc(device, SINK_EXTENT)?;
+    *extent = Some((f, SINK_EXTENT));
+    Ok((f, SINK_EXTENT))
 }
 
 /// What one operator produced: emitted rows, the collected batch (when
@@ -397,14 +441,18 @@ impl<B: StorageBackend> Executor<B> {
     }
 
     /// The sink for one operator under the executor's mode and collection
-    /// policy.
-    fn sink(&self, output: &Output, tuple_bytes: u64, out_cols: usize) -> Sink {
+    /// policy. `touched` names every device the operator's own requests
+    /// reach; a simulated sink on none of them flushes in runs.
+    fn sink(&self, output: &Output, tuple_bytes: u64, out_cols: usize, touched: &[&str]) -> Sink {
+        let runs = !self.faithful()
+            && matches!(output, Output::ToDevice { device, .. } if !touched.contains(&device.as_str()));
         Sink::new(
             output,
             tuple_bytes,
             out_cols,
             self.faithful(),
             self.collect_output,
+            runs,
         )
     }
 
@@ -586,21 +634,35 @@ impl<B: StorageBackend> Executor<B> {
         let (otb, itb) = (o.tuple_bytes, i.tuple_bytes);
         let out_width = o.tuple_bytes + i.tuple_bytes;
         let out_cols = (o.width + i.width) as usize;
-        let mut sink = self.sink(output, out_width, out_cols);
+        let (odev, idev) = (self.sm.device_of(o.file), self.sm.device_of(i.file));
+        // Simulated mode reads each outer block's inner scan as one run
+        // when the sink cannot issue a request on the inner device between
+        // two inner blocks.
+        let inner_run = !self.faithful()
+            && !matches!(output, Output::ToDevice { device, .. } if device == idev);
+        let mut sink = self.sink(output, out_width, out_cols, &[odev, idev]);
         // Expected match density for simulated mode.
         let density = match pred {
             JoinPred::Cross => 1.0,
             JoinPred::KeyEq => 1.0 / o.key_range.max(i.key_range).max(1) as f64,
         };
+        let nblocks = i.card.div_ceil(k2);
         let mut emits: u64 = 0;
-        let hashes: u64 = 0;
         let mut carry = 0.0f64;
         let mut oidx = 0;
         while oidx < o.card {
             let on = o.read_block(&mut self.sm, oidx, k1)?;
             let mut iidx = 0;
             while iidx < i.card {
-                let in_n = i.read_block(&mut self.sm, iidx, k2)?;
+                // An inner run takes all `nblocks` blocks in one step: the
+                // same requests, the per-block compares summed, and one
+                // floor/carry step over the whole scan's expected matches.
+                let (in_n, blocks) = if inner_run {
+                    i.scan_blocks(&mut self.sm, k2)?;
+                    (i.card, nblocks)
+                } else {
+                    (i.read_block(&mut self.sm, iidx, k2)?, 1)
+                };
                 if self.faithful() {
                     // Faithful mode runs the literal nested loops.
                     *compares += on * in_n;
@@ -609,7 +671,7 @@ impl<B: StorageBackend> Executor<B> {
                     // CPU-bound; real block joins hash the resident block
                     // (build once per outer block amortized + one probe per
                     // inner tuple), which is what we model.
-                    *compares += in_n + on / (i.card.div_ceil(k2)).max(1);
+                    *compares += in_n + blocks * (on / nblocks);
                 }
                 if self.faithful() {
                     let orows = o.block_rows(oidx, on);
@@ -630,7 +692,6 @@ impl<B: StorageBackend> Executor<B> {
             }
             oidx += on.max(1);
         }
-        let _ = hashes;
         self.charge_cpu(*compares, emits, 0);
         sink.finish(&mut self.sm)
     }
@@ -722,7 +783,8 @@ impl<B: StorageBackend> Executor<B> {
         let mut r = self.rel(right)?.clone();
         let out_width = l.tuple_bytes + r.tuple_bytes;
         let out_cols = (l.width + r.width) as usize;
-        let mut sink = self.sink(output, out_width, out_cols);
+        let touched = [self.sm.device_of(l.file), self.sm.device_of(r.file), spill];
+        let mut sink = self.sink(output, out_width, out_cols, &touched);
         let mut emits = 0u64;
         let mut hashes = 0u64;
 
@@ -951,7 +1013,8 @@ impl<B: StorageBackend> Executor<B> {
         // materialized oracle sorts an index permutation and gathers per
         // block (the old `rows.clone()` + in-place sort peaked at 2-3x
         // the relation size).
-        let mut sink = self.sink(output, tb, rel.width.max(1) as usize);
+        let touched = [self.sm.device_of(rel.file), scratch];
+        let mut sink = self.sink(output, tb, rel.width.max(1) as usize, &touched);
         if self.faithful() {
             let mut emitter = rel.sorted_emitter().ok_or(ExecError::MissingRows(input))?;
             let mut block = RowBuf::new(rel.width.max(1) as usize);
@@ -988,7 +1051,8 @@ impl<B: StorageBackend> Executor<B> {
         }
         let mut l = self.rel(left)?.clone();
         let mut r = self.rel(right)?.clone();
-        let mut sink = self.sink(output, l.tuple_bytes, l.width.max(1) as usize);
+        let touched = [self.sm.device_of(l.file), self.sm.device_of(r.file)];
+        let mut sink = self.sink(output, l.tuple_bytes, l.width.max(1) as usize, &touched);
 
         // Read both inputs in alternating b_in blocks (streaming merge),
         // emitting output as the stream advances so writes interleave with
@@ -1160,7 +1224,8 @@ impl<B: StorageBackend> Executor<B> {
         let card = rels.iter().map(|r| r.card).min().unwrap_or(0);
         let out_bytes: u64 = rels.iter().map(|r| r.tuple_bytes).sum();
         let out_cols: usize = rels.iter().map(|r| r.width.max(1) as usize).sum();
-        let mut sink = self.sink(output, out_bytes, out_cols);
+        let touched: Vec<&str> = rels.iter().map(|r| self.sm.device_of(r.file)).collect();
+        let mut sink = self.sink(output, out_bytes, out_cols, &touched);
         // One reused scratch row for the zipped tuple (no per-row alloc).
         let mut zipped: Vec<i64> = Vec::with_capacity(out_cols);
         // Round-robin block reads across the columns (seeks between files).
@@ -1201,7 +1266,8 @@ impl<B: StorageBackend> Executor<B> {
             return Err(ExecError::BadParameter("zero dedup buffer"));
         }
         let mut rel = self.rel(input)?.clone();
-        let mut sink = self.sink(output, rel.tuple_bytes, rel.width.max(1) as usize);
+        let touched = [self.sm.device_of(rel.file)];
+        let mut sink = self.sink(output, rel.tuple_bytes, rel.width.max(1) as usize, &touched);
         let mut idx = 0;
         // The last emitted row, in a reused buffer (no per-row alloc).
         let mut last: Vec<i64> = Vec::new();
@@ -1249,32 +1315,24 @@ impl<B: StorageBackend> Executor<B> {
             return Err(ExecError::BadParameter("zero aggregate buffer"));
         }
         let mut rel = self.rel(input)?.clone();
-        // Simulated mode coalesces the single sequential stream into ~4 MiB
-        // requests: for one cursor moving forward, every device model
-        // charges by the page-rounded high-water mark, so the totals (bytes,
-        // seeks, seconds) are identical at any request granularity — but the
-        // paper-scale scans (4 GiB in b_in-tuple blocks) stop costing 10⁸
-        // host-side calls.
-        let step = if self.faithful() {
-            b_in
-        } else {
-            let chunk_tuples = ((4u64 << 20) / rel.tuple_bytes.max(1)).max(1);
-            b_in.max(chunk_tuples.next_multiple_of(b_in))
-        };
-        let mut idx = 0;
         let mut sum: i64 = 0;
         let mut count: i64 = 0;
-        while idx < rel.card {
-            let n = rel.read_block(&mut self.sm, idx, step)?;
-            *compares += n;
-            if self.faithful() {
+        if self.faithful() {
+            let mut idx = 0;
+            while idx < rel.card {
+                let n = rel.read_block(&mut self.sm, idx, b_in)?;
+                *compares += n;
                 for row in rel.block_rows(idx, n).iter() {
                     sum = sum.wrapping_add(row[0]);
                     count += 1;
                 }
                 self.note_peak(rel.resident_bytes());
+                idx += n.max(1);
             }
-            idx += n.max(1);
+        } else {
+            // The single sequential stream, as one run.
+            rel.scan_blocks(&mut self.sm, b_in)?;
+            *compares += rel.card;
         }
         self.charge_cpu(*compares, 1, 0);
         let avg = if count > 0 { sum / count } else { 0 };
@@ -1801,6 +1859,145 @@ mod tests {
             .unwrap();
         let sum: i64 = rows.iter().map(|r| r[0]).sum();
         assert_eq!(stats.output.unwrap().row(0)[0], sum / rows.len() as i64);
+    }
+
+    fn assert_same_devices(a: &StorageSim, b: &StorageSim, what: &str) {
+        for d in ["HDD", "HDD2", "SSD", "RAM"] {
+            let (Some(x), Some(y)) = (a.device_stats(d), b.device_stats(d)) else {
+                continue;
+            };
+            assert_eq!(
+                (x.seeks, x.erases, x.bytes_read, x.bytes_written),
+                (y.seeks, y.erases, y.bytes_read, y.bytes_written),
+                "{what}: {d} stats differ"
+            );
+            let tol = 1e-12 * x.busy_seconds.abs().max(y.busy_seconds.abs());
+            assert!(
+                (x.busy_seconds - y.busy_seconds).abs() <= tol,
+                "{what}: {d} busy {} vs {}",
+                x.busy_seconds,
+                y.busy_seconds
+            );
+        }
+    }
+
+    /// Simulated mode charges each outer block's inner scan, and a private
+    /// sink's flushes, as runs; faithful mode issues every request one by
+    /// one. A cross product must leave every device in the same state in
+    /// both modes, for every kind of output — including the same-HDD sink,
+    /// where neither mode coalesces, and a buffer that is not a whole
+    /// number of pages. The same-HDD case also walks the inner blocks one
+    /// by one in simulated mode, so every case must model its compares.
+    #[test]
+    fn simulated_bnl_runs_match_faithful_requests() {
+        // The same-HDD case comes first: its compares are the reference.
+        let cases = [
+            ("HDD", 20 * 1024),
+            ("", 0),
+            ("HDD2", 20 * 1024),
+            ("HDD2", 10_000),
+            ("SSD", 20 * 1024),
+            ("SSD", 10_000),
+        ];
+        // One-tuple inner blocks, and 250-tuple ones (fewer inner blocks
+        // than outer-block tuples, so build compares are charged too).
+        for k2 in [1, 250] {
+            let mut per_request_compares = None;
+            for (device, buffer_bytes) in cases {
+                let what = format!("k2 = {k2}, output `{device}`, {buffer_bytes}-byte buffer");
+                let (sim_rows, compares, sim) =
+                    bnl_cross(Mode::Simulated, device, buffer_bytes, k2);
+                let (faithful_rows, _, faithful) =
+                    bnl_cross(Mode::Faithful, device, buffer_bytes, k2);
+                assert_eq!(sim_rows, 48 * 1500, "{what}");
+                assert_eq!(sim_rows, faithful_rows, "{what}");
+                assert_same_devices(&sim, &faithful, &what);
+                assert_eq!(
+                    compares,
+                    *per_request_compares.get_or_insert(compares),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    /// A 48 × 1500 cross product (24-byte inner tuples, so one-tuple reads
+    /// straddle pages) in `k1 = 16` outer blocks: output rows, compares and
+    /// the simulator it ran on.
+    fn bnl_cross(mode: Mode, device: &str, buffer_bytes: u64, k2: u64) -> (u64, u64, StorageSim) {
+        let h = if device == "SSD" {
+            presets::hdd_flash_ram(1 << 22)
+        } else {
+            presets::two_hdd_ram(1 << 22)
+        };
+        let output = if device.is_empty() {
+            Output::Discard
+        } else {
+            Output::ToDevice {
+                device: device.into(),
+                buffer_bytes,
+            }
+        };
+        let sm = StorageSim::from_hierarchy(&h);
+        let mut ex = Executor::new(sm, mode, CpuModel::default()).with_output_collection(false);
+        let faithful = mode == Mode::Faithful;
+        let r = Relation::create(&mut ex.sm, &RelSpec::pairs("R", "HDD", 48), faithful, 1).unwrap();
+        let mut inner = RelSpec::pairs("S", "HDD", 1500);
+        inner.width = 3;
+        let s = Relation::create(&mut ex.sm, &inner, faithful, 2).unwrap();
+        let (ri, si) = (ex.add_relation(r), ex.add_relation(s));
+        let stats = ex
+            .run(&Plan::BnlJoin {
+                outer: ri,
+                inner: si,
+                k1: 16,
+                k2,
+                tiling: None,
+                pred: JoinPred::Cross,
+                order_inputs: false,
+                output,
+            })
+            .unwrap();
+        (stats.output_rows, stats.compares, ex.sm)
+    }
+
+    /// A private sink's run flushes equal its per-buffer flushes across
+    /// extent wraps: a 20 KiB buffer does not divide the 1 GiB extent, so
+    /// every wrap splits one buffer in two. The run sink issues a handful
+    /// of requests (counted exactly through the trace) where the
+    /// per-buffer sink issues ~10^5.
+    #[test]
+    fn sink_runs_match_per_buffer_flushes_across_extent_wraps() {
+        for device in ["HDD2", "SSD"] {
+            let output = Output::ToDevice {
+                device: device.into(),
+                buffer_bytes: 20 * 1024,
+            };
+            let flush = |runs: bool| {
+                let mut sm = StorageSim::from_hierarchy(&presets::hdd_flash_ram(1 << 22));
+                if device == "HDD2" {
+                    sm = StorageSim::from_hierarchy(&presets::two_hdd_ram(1 << 22));
+                }
+                let mut sink = Sink::new(&output, 32, 4, false, false, runs);
+                ocas_obs::start();
+                for n in [1u64, 40_000_000, 7, 1 << 25, 12_345_678] {
+                    sink.emit_bulk(&mut sm, n).unwrap();
+                }
+                let (rows, ..) = sink.finish(&mut sm).unwrap();
+                let trace = ocas_obs::finish().unwrap();
+                let requests: u64 = trace.events.iter().map(|e| 1 + e.merged).sum();
+                (rows, requests, sm)
+            };
+            let (rows, run_requests, runs) = flush(true);
+            let (each_rows, each_requests, each) = flush(false);
+            assert_eq!(rows, each_rows);
+            assert!(rows * 32 > 2 * SINK_EXTENT, "the output must wrap twice");
+            assert_same_devices(&runs, &each, device);
+            assert!(
+                run_requests <= 16 && each_requests > 100_000,
+                "{device}: {run_requests} run requests vs {each_requests}"
+            );
+        }
     }
 
     #[test]

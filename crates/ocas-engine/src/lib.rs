@@ -8,10 +8,32 @@
 //!   algorithm end-to-end and their outputs are validated against the OCAL
 //!   reference interpreter in the test suite. Used at small scale.
 //! * **Simulated** — relations are cardinality + width only; every I/O
-//!   request is still issued block-by-block against the device simulators
-//!   (so seeks, erase blocks and read/write interference are enacted
-//!   exactly), while the in-memory inner loops are accounted analytically
-//!   through the CPU model. Used at the paper's multi-gigabyte scales.
+//!   request is still charged against the device simulators (so seeks,
+//!   erase blocks and read/write interference are enacted exactly), while
+//!   the in-memory inner loops are accounted analytically through the CPU
+//!   model. Used at the paper's multi-gigabyte scales.
+//!
+//! **The run rule (simulated mode).** Where nothing else can reach a
+//! device between a stretch of back-to-back requests, the operator hands
+//! the stretch to the backend as one run
+//! ([`StorageBackend::read_run`](ocas_storage::StorageBackend::read_run) /
+//! `write_run`), and the simulator charges it exactly what the requests
+//! would cost one by one (see [`ocas_storage`] for when each device model
+//! can do that in closed form). Three places use it:
+//!
+//! * a BNL join's inner scan, once per outer block, when the output is
+//!   discarded or lives on another device than the inner relation;
+//!   compares and emitted rows for the block are then summed in closed
+//!   form (the per-block floor/carry step taken once over the block);
+//! * an output sink's whole-buffer flushes, when its device holds none of
+//!   the operator's inputs, spill or scratch (split at the extent wrap);
+//! * the aggregation scan.
+//!
+//! Everything else keeps the per-request path: faithful mode (it moves
+//! real rows and is the oracle the runs are tested against), sinks on a
+//! device the operator also reads (the interleaving is the paper's
+//! read/write-interference experiment), and HDD writes whose unit is not
+//! a whole number of pages (the device model loops over those).
 //!
 //! The CPU model is what the paper's estimator deliberately ignores (§7.3:
 //! "OCAS does not currently model computation costs … underestimation grows

@@ -947,6 +947,25 @@ impl Relation {
         Ok(n)
     }
 
+    /// Reads the whole relation in `block`-tuple requests, the ones a
+    /// [`read_block`](Relation::read_block) loop issues, as one run of the
+    /// full blocks plus one request for a partial last block.
+    pub fn scan_blocks<B: StorageBackend>(
+        &self,
+        sm: &mut B,
+        block: u64,
+    ) -> Result<(), StorageError> {
+        let (full, tail) = (self.card / block, self.card % block);
+        let unit = block * self.tuple_bytes;
+        if full > 0 {
+            sm.read_run(self.file, 0, unit, full)?;
+        }
+        if tail > 0 {
+            sm.read(self.file, full * unit, tail * self.tuple_bytes)?;
+        }
+        Ok(())
+    }
+
     /// The rows of a block (faithful mode), as a borrowed flat view.
     ///
     /// Streamed relations serve the view from their bounded cache window,

@@ -38,6 +38,42 @@ pub trait StorageBackend {
     /// Writes `len` bytes at `offset` within `file` (accounting request).
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError>;
 
+    /// Reads `count` back-to-back `unit`-byte requests starting at
+    /// `offset` within `file`: exactly the requests `read(file, offset +
+    /// j * unit, unit)` for `j` in `0..count`, in order. The default body
+    /// issues them one by one, so per-request semantics (real transfers,
+    /// request-indexed fault schedules) are unchanged; the simulator
+    /// charges the run in closed form where its device model says that is
+    /// exact. A backend may reject an out-of-bounds run before issuing any
+    /// of it.
+    fn read_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        for j in 0..count {
+            self.read(file, offset + j * unit, unit)?;
+        }
+        Ok(())
+    }
+
+    /// Writes `count` back-to-back `unit`-byte accounting requests starting
+    /// at `offset` within `file`; see [`read_run`](StorageBackend::read_run).
+    fn write_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        for j in 0..count {
+            self.write(file, offset + j * unit, unit)?;
+        }
+        Ok(())
+    }
+
     /// Writes `data` at `offset` within `file` (data request). Charged
     /// exactly like [`write`](StorageBackend::write) of `data.len()` bytes.
     fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError>;
@@ -119,6 +155,26 @@ impl StorageBackend for StorageSim {
 
     fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
         StorageSim::write(self, file, offset, len)
+    }
+
+    fn read_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        StorageSim::read_run(self, file, offset, unit, count)
+    }
+
+    fn write_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        StorageSim::write_run(self, file, offset, unit, count)
     }
 
     fn write_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) -> Result<(), StorageError> {

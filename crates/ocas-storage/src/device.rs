@@ -65,23 +65,74 @@ impl HddSim {
             return 0.0;
         }
         let mut t = 0.0;
-        let (charge_start, charged) =
-            if start >= self.head.saturating_sub(self.pagesize) && start < self.head {
-                // Overlaps the current read-ahead window: pay only the new
-                // pages, no seek.
-                (self.head, end - self.head)
-            } else {
-                if start != self.head {
-                    t += self.seek_seconds;
-                    self.stats.seeks += 1;
-                }
-                (start, span)
-            };
-        let _ = charge_start;
+        let charged = if start >= self.head.saturating_sub(self.pagesize) && start < self.head {
+            // Overlaps the current read-ahead window: pay only the new
+            // pages, no seek.
+            end - self.head
+        } else {
+            if start != self.head {
+                t += self.seek_seconds;
+                self.stats.seeks += 1;
+            }
+            span
+        };
         t += charged as f64 * self.secs_per_byte_read;
         self.head = end;
         self.stats.bytes_read += charged;
         self.stats.busy_seconds += t;
+        t
+    }
+
+    /// Reads `count ≥ 1` back-to-back `unit`-byte requests starting at
+    /// `offset`, charging exactly what the per-request loop would.
+    ///
+    /// A forward run is granularity-invariant: after the first request
+    /// (which may seek), every request starts at or inside the page the
+    /// head just passed, so it never seeks and pays only the pages past the
+    /// head. The rest of the run therefore costs the page-rounded
+    /// high-water mark minus the head.
+    pub(crate) fn read_run(&mut self, offset: u64, unit: u64, count: u64) -> f64 {
+        let mut t = self.read(offset, unit);
+        // Only an empty unit can leave the head past `end` (a read-ahead
+        // hit); its later requests are hits too.
+        let end = ((offset + count * unit).div_ceil(self.pagesize) * self.pagesize).max(self.head);
+        let charged = end - self.head;
+        let rest = charged as f64 * self.secs_per_byte_read;
+        self.head = end;
+        self.stats.bytes_read += charged;
+        self.stats.busy_seconds += rest;
+        t += rest;
+        t
+    }
+
+    /// Writes `count ≥ 1` back-to-back `unit`-byte requests starting at
+    /// `offset`, charging exactly what the per-request loop would.
+    ///
+    /// Closed form only when `unit` is a whole number of pages: then every
+    /// request after the first spans the same page-rounded length and
+    /// starts `unit` bytes after the previous start, so it seeks iff that
+    /// span overshoots `unit` (a misaligned run). Other units shift their
+    /// page alignment from request to request and are charged one request
+    /// at a time.
+    pub(crate) fn write_run(&mut self, offset: u64, unit: u64, count: u64) -> f64 {
+        if unit % self.pagesize != 0 {
+            let mut t = 0.0;
+            for j in 0..count {
+                t += self.write(offset + j * unit, unit);
+            }
+            return t;
+        }
+        let mut t = self.write(offset, unit);
+        let (_, span) = self.page_extent(offset, unit);
+        let rest_n = count - 1;
+        let seeks = if span == unit { 0 } else { rest_n };
+        let rest =
+            seeks as f64 * self.seek_seconds + (rest_n * span) as f64 * self.secs_per_byte_write;
+        self.head += rest_n * unit;
+        self.stats.seeks += seeks;
+        self.stats.bytes_written += rest_n * span;
+        self.stats.busy_seconds += rest;
+        t += rest;
         t
     }
 
@@ -212,6 +263,32 @@ impl DeviceSim {
                 d.stats.bytes_read += len;
                 0.0
             }
+        }
+    }
+
+    /// Reads `count ≥ 1` back-to-back `unit`-byte requests starting at
+    /// `offset` and returns simulated seconds. Charges (stats and seconds)
+    /// equal the per-request loop's: each model uses a closed form where
+    /// one is exact and loops otherwise.
+    pub(crate) fn read_run(&mut self, offset: u64, unit: u64, count: u64) -> f64 {
+        match self {
+            DeviceSim::Hdd(d) => d.read_run(offset, unit, count),
+            // Flash and RAM reads are stateless: a run costs its bytes.
+            _ => self.read(offset, unit * count),
+        }
+    }
+
+    /// Writes `count ≥ 1` back-to-back `unit`-byte requests starting at
+    /// `offset` and returns simulated seconds; see
+    /// [`read_run`](DeviceSim::read_run).
+    pub(crate) fn write_run(&mut self, offset: u64, unit: u64, count: u64) -> f64 {
+        match self {
+            DeviceSim::Hdd(d) => d.write_run(offset, unit, count),
+            // A forward flash run visits erase blocks in order, each
+            // request opening at most the blocks past the one it starts
+            // in, so it erases exactly what one request spanning the run
+            // erases. RAM only counts bytes.
+            _ => self.write(offset, unit * count),
         }
     }
 

@@ -12,6 +12,23 @@
 //! * read/write interference when input and output share a disk,
 //! * erase-before-write on flash (one erase per touched erase block),
 //! * cache misses under tiled vs. untiled access streams.
+//!
+//! **Runs.** [`StorageBackend::read_run`] / [`StorageBackend::write_run`]
+//! issue `count` back-to-back requests of `unit` bytes. Their default
+//! bodies loop over `read` / `write`, so real backends and fault wrappers
+//! keep per-request semantics. [`StorageSim`] charges a run as one traced
+//! request whose cost equals the loop's: the same seeks, erases and bytes,
+//! and the same seconds up to float summation order. Each device model
+//! decides how:
+//!
+//! * HDD reads: exact for any unit. After the first request, a forward run
+//!   never seeks and pays the page-rounded high-water mark minus the head.
+//! * HDD writes: exact when the unit is a whole number of pages (every
+//!   later request has the same page-rounded span, and seeks iff the run
+//!   is misaligned); other units loop request by request.
+//! * Flash: reads are stateless, and a forward write run erases exactly
+//!   the blocks one request over its whole span would.
+//! * RAM: free, bytes only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -120,6 +120,8 @@ impl std::error::Error for StorageError {}
 #[derive(Debug)]
 pub struct StorageSim {
     devices: Vec<DeviceSim>,
+    /// Each device's `dev:<name>` obs track, built once.
+    tracks: Vec<String>,
     device_by_name: BTreeMap<String, usize>,
     capacity: Vec<u64>,
     allocated: Vec<u64>,
@@ -149,8 +151,13 @@ impl StorageSim {
             devices.push(DeviceSim::for_node(props, up, down));
         }
         let n = devices.len();
+        let tracks = devices
+            .iter()
+            .map(|d| format!("dev:{}", d.name()))
+            .collect();
         StorageSim {
             devices,
+            tracks,
             device_by_name,
             capacity,
             allocated: vec![0; n],
@@ -208,22 +215,67 @@ impl StorageSim {
 
     /// Reads `len` bytes at `offset` within `file`, advancing the clock.
     pub fn read(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
-        self.check(file, offset, len)?;
-        let m = self.meta(file).clone();
-        let seeks0 = self.obs_seeks(m.device);
-        let t = self.devices[m.device].read(m.offset + offset, len);
-        self.obs_span("read", m.device, t, len, seeks0);
-        self.clock_seconds += t;
-        Ok(())
+        self.charge("read", file, offset, len, |d, at| d.read(at, len))
     }
 
     /// Writes `len` bytes at `offset` within `file`, advancing the clock.
     pub fn write(&mut self, file: FileId, offset: u64, len: u64) -> Result<(), StorageError> {
+        self.charge("write", file, offset, len, |d, at| d.write(at, len))
+    }
+
+    /// Reads `count` back-to-back `unit`-byte requests starting at
+    /// `offset` within `file`, advancing the clock by exactly what the
+    /// per-request loop would (the device model decides how; see the
+    /// crate docs). The run is bounds-checked as a whole and traced as one
+    /// request; an empty run does nothing.
+    pub fn read_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        if count == 0 {
+            return Ok(());
+        }
+        self.charge("read", file, offset, unit * count, |d, at| {
+            d.read_run(at, unit, count)
+        })
+    }
+
+    /// Writes `count` back-to-back `unit`-byte requests starting at
+    /// `offset` within `file`; see [`StorageSim::read_run`].
+    pub fn write_run(
+        &mut self,
+        file: FileId,
+        offset: u64,
+        unit: u64,
+        count: u64,
+    ) -> Result<(), StorageError> {
+        if count == 0 {
+            return Ok(());
+        }
+        self.charge("write", file, offset, unit * count, |d, at| {
+            d.write_run(at, unit, count)
+        })
+    }
+
+    /// Bounds-checks `len` bytes at `offset` within `file`, lets `access`
+    /// charge the device at the absolute offset, and advances the clock
+    /// by (and traces) the seconds it returns.
+    fn charge(
+        &mut self,
+        name: &'static str,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        access: impl FnOnce(&mut DeviceSim, u64) -> f64,
+    ) -> Result<(), StorageError> {
         self.check(file, offset, len)?;
         let m = self.meta(file).clone();
         let seeks0 = self.obs_seeks(m.device);
-        let t = self.devices[m.device].write(m.offset + offset, len);
-        self.obs_span("write", m.device, t, len, seeks0);
+        let t = access(&mut self.devices[m.device], m.offset + offset);
+        self.obs_span(name, m.device, t, len, seeks0);
         self.clock_seconds += t;
         Ok(())
     }
@@ -238,16 +290,16 @@ impl StorageSim {
         }
     }
 
-    /// Records one request as a span on the device's simulated-clock
-    /// track. The span durations on each `dev:*` track (plus the `cpu`
-    /// track) sum to exactly the clock advance — the attribution
-    /// property the acceptance test pins.
+    /// Records one request (or one run of requests) as a span on the
+    /// device's simulated-clock track. The span durations on each `dev:*`
+    /// track (plus the `cpu` track) sum to exactly the clock advance — the
+    /// attribution property the acceptance test pins.
     fn obs_span(&self, name: &'static str, device: usize, t: f64, len: u64, seeks0: u64) {
         if ocas_obs::enabled() {
             let d = &self.devices[device];
             ocas_obs::span(
                 ocas_obs::Clock::Sim,
-                &format!("dev:{}", d.name()),
+                &self.tracks[device],
                 name,
                 self.clock_seconds,
                 t,

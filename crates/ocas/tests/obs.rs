@@ -92,3 +92,37 @@ fn engine_operator_span_carries_attribution_args() {
         );
     }
 }
+
+/// Paper-scale row 1 (`for[HDD >> RAM]` BNL, one-tuple inner blocks)
+/// issues O(outer blocks) device requests: each outer block's 2^26-tuple
+/// inner scan is one run, where the per-request loop issued 2^26 reads.
+/// Counted exactly through the trace (retained events plus folds), and
+/// the run spans still attribute the simulator's seconds.
+#[test]
+fn paper_scale_bnl_no_writeout_issues_o_outer_blocks_requests() {
+    let e = experiments::bnl_no_writeout();
+    let synth = e.synthesize().expect("synthesis succeeds");
+    ocas_obs::start();
+    let seconds = e.execute(&synth).expect("execution succeeds");
+    let trace = ocas_obs::finish().expect("recorder was active");
+    let requests: u64 = trace
+        .events
+        .iter()
+        .filter(|ev| trace.track(ev).starts_with("dev:"))
+        .map(|ev| 1 + ev.merged)
+        .sum();
+    // The 32 MiB outer relation fills the 8 MiB RAM four times; each
+    // outer block costs one outer read, one inner run and at most one
+    // partial-block read (8 requests in all today).
+    assert!((1..=16).contains(&requests), "{requests} device requests");
+    let attributed: f64 = trace
+        .span_seconds_by_track(Clock::Sim)
+        .iter()
+        .filter(|(t, _)| t.starts_with("dev:") || t.as_str() == "cpu")
+        .map(|(_, s)| s)
+        .sum();
+    assert!(
+        (attributed - seconds).abs() <= 1e-9 * seconds,
+        "attributed {attributed} vs simulator {seconds}"
+    );
+}
